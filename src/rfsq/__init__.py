@@ -1,7 +1,7 @@
 """Squeezing in the resonance fluorescence of a driven atom in a squeezed vacuum.
 
 Library surface: physical parameters and derived rates, steady states of
-the modified optical Bloch equations (direct solve plus a time-domain
+the modified optical Bloch equations (closed form plus a time-domain
 oracle), quadrature-variance metrics, pure-state drive conditions, grid
 scans, optimum finding and figure-dataset emission. The `rfsq` CLI wraps
 the same operations.

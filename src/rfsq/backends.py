@@ -1,53 +1,33 @@
-"""Hot numeric kernels with a numba path and a pure-numpy fallback.
+"""Closed-form steady state and RK4 relaxation kernels.
 
-Two operations dominate runtime: evaluating the steady Bloch vector over
-large parameter grids, and iterating the fixed-step integrator map until
-a trajectory relaxes. Both are provided in two implementations:
+Two operations dominate runtime: evaluating the steady Bloch vector,
+from one point to large parameter grids, and iterating the fixed-step
+integrator map until a trajectory relaxes.
 
-* ``numba``: ``@njit`` kernels, parallel over grid nodes (default when
-  numba imports cleanly);
-* ``numpy``: vectorised / blockwise fallback with identical math.
-
-Selection: the ``RFSQ_BACKEND`` environment variable (``numba``,
-``numpy`` or ``auto``) picks the default at import; :func:`use` switches
-at runtime. ``RFSQ_THREADS`` caps the numba thread count (0 or unset
-means automatic).
-
-Grid solve: the steady state of ``ds/dt = A s + b`` is written out in
-closed form (adjugate solution of the 3x3 system), which is exact for the
-Bloch matrix whose determinant never vanishes for valid parameters.
+Steady state: the solution of ``A s + b = 0`` is written out in closed
+form (adjugate solution of the 3x3 system), which is exact for the Bloch
+matrix whose determinant never vanishes for valid parameters. The
+expression is plain numpy, so it evaluates scalars and broadcastable
+arrays alike; constant inputs are never expanded to the grid's size.
 
 Relaxation: one step of the classic fixed-step RK4 scheme applied to a
 constant-coefficient linear system is the affine map ``s -> E s + c``
 with ``E`` the degree-4 Taylor polynomial of ``expm(h A)``. Its fixed
 point is exactly the steady state, so relaxation accuracy is limited
-only by how long the map is iterated, never by the step size. The numba
-kernel applies the map step by step; the numpy fallback amortises the
-Python loop by pre-composing a 16-step block of the same map.
+only by how long the map is iterated, never by the step size. The
+Python loop is amortised by pre-composing a 16-step block of the map.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from .errors import ValidationError
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
 
 #: burst length between residual checks during relaxation
 CHECK_STRIDE = 16
 
 
-def steady_closed_form(gamma, n_sq, eta, phi, omega, delta):
-    """Steady Bloch vector (sx, sy, sz); polymorphic over scalars/arrays."""
+def steady_grid(gamma, n_sq, eta, phi, omega, delta):
+    """Steady Bloch vector (sx, sy, sz) over scalars or broadcastable arrays."""
     m = eta * np.sqrt(n_sq * (n_sq + 1.0))
     gm = gamma * m
     big = gamma * (n_sq + 0.5)
@@ -78,15 +58,12 @@ def rk4_affine_map(a: np.ndarray, b: np.ndarray, h: float):
     return e, c
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
+def relax(e, c, a, b, s0, stop_resid, max_steps, blow=10.0):
+    """Iterate the RK4 one-step map until the residual drops below target.
 
-def _steady_grid_numpy(gamma, n_sq, eta, phi, omega, delta):
-    return steady_closed_form(gamma, n_sq, eta, phi, omega, delta)
-
-
-def _relax_numpy(e, c, a, b, s0, stop_resid, max_steps, blow):
+    Returns (state, residual, steps). The residual is the max-norm of
+    ``a @ state + b``; a residual of inf flags the blow-up sentinel.
+    """
     # pre-compose CHECK_STRIDE steps of the map: (E, c) -> (E^k, sum E^j c)
     eb = e.copy()
     cb = c.copy()
@@ -104,130 +81,3 @@ def _relax_numpy(e, c, a, b, s0, stop_resid, max_steps, blow):
             return s, np.inf, steps
         resid = np.abs(a @ s + b).max()
     return s, resid, steps
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(parallel=True, cache=True)
-    def _steady_grid_numba(gamma, n_sq, eta, phi, omega, delta,
-                           sx, sy, sz):  # pragma: no cover - jitted
-        for i in numba.prange(n_sq.shape[0]):
-            m = eta[i] * np.sqrt(n_sq[i] * (n_sq[i] + 1.0))
-            gm = gamma[i] * m
-            big = gamma[i] * (n_sq[i] + 0.5)
-            cos_phi = np.cos(phi[i])
-            sin_phi = np.sin(phi[i])
-            gx = big + gm * cos_phi
-            gy = big - gm * cos_phi
-            gz = 2.0 * big
-            u = delta[i] + gm * sin_phi
-            v = delta[i] - gm * sin_phi
-            den = gx * gy * gz + omega[i] * omega[i] * gx + u * v * gz
-            syi = omega[i] * gamma[i] * gx / den
-            sy[i] = syi
-            sx[i] = -u * syi / gx
-            sz[i] = (omega[i] * syi - gamma[i]) / gz
-
-    @numba.njit(cache=True)
-    def _relax_numba(e, c, a, b, s0, stop_resid, max_steps,
-                     blow):  # pragma: no cover - jitted
-        x = s0[0]
-        y = s0[1]
-        z = s0[2]
-        steps = 0
-        resid = max(abs(a[0, 0] * x + a[0, 1] * y + a[0, 2] * z + b[0]),
-                    abs(a[1, 0] * x + a[1, 1] * y + a[1, 2] * z + b[1]),
-                    abs(a[2, 0] * x + a[2, 1] * y + a[2, 2] * z + b[2]))
-        while resid > stop_resid and steps < max_steps:
-            for _ in range(CHECK_STRIDE):
-                nx = e[0, 0] * x + e[0, 1] * y + e[0, 2] * z + c[0]
-                ny = e[1, 0] * x + e[1, 1] * y + e[1, 2] * z + c[1]
-                nz = e[2, 0] * x + e[2, 1] * y + e[2, 2] * z + c[2]
-                x, y, z = nx, ny, nz
-            steps += CHECK_STRIDE
-            if max(abs(x), abs(y), abs(z)) > blow:
-                out = np.empty(3)
-                out[0] = x
-                out[1] = y
-                out[2] = z
-                return out, np.inf, steps
-            resid = max(abs(a[0, 0] * x + a[0, 1] * y + a[0, 2] * z + b[0]),
-                        abs(a[1, 0] * x + a[1, 1] * y + a[1, 2] * z + b[1]),
-                        abs(a[2, 0] * x + a[2, 1] * y + a[2, 2] * z + b[2]))
-        out = np.empty(3)
-        out[0] = x
-        out[1] = y
-        out[2] = z
-        return out, resid, steps
-
-    def _steady_grid_numba_entry(gamma, n_sq, eta, phi, omega, delta):
-        n = n_sq.shape[0]
-        sx = np.empty(n)
-        sy = np.empty(n)
-        sz = np.empty(n)
-        _steady_grid_numba(gamma, n_sq, eta, phi, omega, delta, sx, sy, sz)
-        return sx, sy, sz
-
-    def _relax_numba_entry(e, c, a, b, s0, stop_resid, max_steps, blow):
-        return _relax_numba(e, c, a, b, np.asarray(s0, dtype=float),
-                            stop_resid, max_steps, blow)
-
-
-_BACKENDS = {"numpy": (_steady_grid_numpy, _relax_numpy)}
-if HAVE_NUMBA:
-    _BACKENDS["numba"] = (_steady_grid_numba_entry, _relax_numba_entry)
-
-_active = "numpy"
-
-
-def _apply_thread_cap():
-    if not HAVE_NUMBA:
-        return
-    raw = os.environ.get("RFSQ_THREADS", "").strip()
-    if raw and raw != "0":
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValidationError(f"RFSQ_THREADS must be an integer, got {raw!r}")
-        if n > 0:
-            numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-
-
-def use(name: str) -> str:
-    """Select the kernel backend ('numba', 'numpy' or 'auto')."""
-    global _active
-    if name == "auto" or name == "":
-        name = "numba" if HAVE_NUMBA else "numpy"
-    if name not in _BACKENDS:
-        known = sorted(_BACKENDS) + ["auto"]
-        raise ValidationError(f"unknown backend {name!r}; expected one of {known}")
-    if name == "numba":
-        _apply_thread_cap()
-    _active = name
-    return _active
-
-
-def active() -> str:
-    """Name of the backend currently in use."""
-    return _active
-
-
-def steady_grid(gamma, n_sq, eta, phi, omega, delta):
-    """Steady Bloch vectors over flat, equal-length float64 arrays."""
-    return _BACKENDS[_active][0](gamma, n_sq, eta, phi, omega, delta)
-
-
-def relax(e, c, a, b, s0, stop_resid, max_steps, blow=10.0):
-    """Iterate the RK4 one-step map until the residual drops below target.
-
-    Returns (state, residual, steps). The residual is the max-norm of
-    ``a @ state + b``; a residual of inf flags the blow-up sentinel.
-    """
-    return _BACKENDS[_active][1](e, c, a, b, s0, stop_resid, max_steps, blow)
-
-
-use(os.environ.get("RFSQ_BACKEND", "auto"))

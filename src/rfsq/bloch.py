@@ -10,8 +10,8 @@ ds/dt = A s + b with
 
 where g M is shorthand for gamma * m_corr. A is Hurwitz for every valid
 parameter set (Routh-Hurwitz margins are strictly positive), so the
-steady state is unique and attracting. It is computed by a direct
-partial-pivoted solve; a fixed-step RK4 integrator provides an
+steady state is unique and attracting. It is computed in closed form
+(``backends.steady_grid``); a fixed-step RK4 integrator provides an
 independent time-domain oracle.
 """
 
@@ -25,7 +25,7 @@ import numpy as np
 from . import backends
 from .errors import (
     NoConvergenceError,
-    SingularSystemError,
+    NumericalError,
     StepTooLargeError,
     ValidationError,
 )
@@ -81,46 +81,34 @@ def build_system(params: AtomFieldParams) -> BlochSystem:
     return BlochSystem(a_matrix=a, b_vector=b)
 
 
-def solve_steady(system: BlochSystem) -> np.ndarray:
-    """Solve A s = -b by partial-pivoted elimination, with refinement."""
-    a = system.a_matrix
-    b = system.b_vector
-    scale = np.abs(a).max()
-    det = np.linalg.det(a)
-    if scale == 0.0 or abs(det) < 1e-12 * scale**3:
-        raise SingularSystemError(
-            f"Bloch matrix is numerically singular (|det| = {abs(det):.3e})"
-        )
-    s = np.linalg.solve(a, -b)
-    # one refinement pass keeps the residual near eps*|A||s| even for
-    # strongly detuned systems where the matrix norm is large
-    tol = 1e-12 * max(1.0, np.abs(b).max())
-    for _ in range(2):
-        r = a @ s + b
-        if np.abs(r).max() <= tol:
-            break
-        s = s - np.linalg.solve(a, r)
-    return s
-
-
 def steady_state(params: AtomFieldParams) -> BlochState:
-    """Unique steady state of the Bloch equations."""
-    return BlochState.from_array(solve_steady(build_system(params)))
+    """Unique steady state of the Bloch equations.
+
+    Raises NumericalError when the closed form overflows (for example
+    when N(N+1) exceeds the float range).
+    """
+    with np.errstate(all="ignore"):
+        sx, sy, sz = backends.steady_grid(
+            params.gamma, params.n_sq, params.eta,
+            params.phi, params.omega, params.delta,
+        )
+    if not (math.isfinite(sx) and math.isfinite(sy) and math.isfinite(sz)):
+        raise NumericalError(
+            f"steady state is not finite at {params} "
+            f"(sx, sy, sz = {sx}, {sy}, {sz})"
+        )
+    return BlochState(float(sx), float(sy), float(sz))
 
 
 def steady_state_grid(gamma, n_sq, eta, phi, omega, delta):
     """Steady Bloch vectors over broadcastable parameter arrays.
 
     Returns three float64 arrays (sx, sy, sz) in the broadcast shape.
-    Evaluated through the active kernel backend.
+    Constant inputs stay scalars: nothing is expanded to the grid size.
     """
-    arrays = np.broadcast_arrays(
+    return backends.steady_grid(
         *(np.asarray(x, dtype=float) for x in (gamma, n_sq, eta, phi, omega, delta))
     )
-    shape = arrays[0].shape
-    flat = [np.ascontiguousarray(a).ravel() for a in arrays]
-    sx, sy, sz = backends.steady_grid(*flat)
-    return sx.reshape(shape), sy.reshape(shape), sz.reshape(shape)
 
 
 def default_step(params: AtomFieldParams) -> float:

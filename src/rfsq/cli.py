@@ -16,11 +16,10 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import backends
 from ._version import __version__
 from .errors import NumericalError, RfsqError, ValidationError
 from .figures import emit_figure
-from .io import dump_json, parse_angle, write_csv, write_json
+from .io import dump_csv, dump_json, parse_angle, write_csv, write_json
 from .metrics import full_report
 from .optimize import find_crossover, minimize_variance
 from .params import AtomFieldParams
@@ -119,8 +118,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rfsq", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"rfsq {__version__}")
-    parser.add_argument("--backend", choices=("auto", "numba", "numpy"),
-                        default=None, help="kernel backend override")
     sub = parser.add_subparsers(dest="command", required=True)
     parent = _param_parent()
 
@@ -169,16 +166,12 @@ def build_parser() -> _Parser:
 
 def _emit(config: RunConfig, payload: dict) -> None:
     if config.fmt == "csv":
-        scalars = {k: float(v) for k, v in payload.items()
+        columns = {k: [float(v)] for k, v in payload.items()
                    if isinstance(v, (int, float))}
         if config.out is None:
-            from .io import CSV_MAGIC, format_float
-
-            print(CSV_MAGIC)
-            print(",".join(scalars))
-            print(",".join(format_float(v) for v in scalars.values()))
+            dump_csv(sys.stdout, columns)
         else:
-            write_csv(config.out, {k: [v] for k, v in scalars.items()})
+            write_csv(config.out, columns)
     else:
         if config.out is None:
             print(dump_json(payload))
@@ -224,12 +217,7 @@ def _cmd_scan(config: RunConfig) -> int:
         columns[spec.axis2.name] = g2.ravel()
     columns[spec.metric] = result.values.ravel()
     if config.out is None:
-        from .io import CSV_MAGIC, format_float
-
-        print(CSV_MAGIC)
-        print(",".join(columns))
-        for row in zip(*columns.values()):
-            print(",".join(format_float(v) for v in row))
+        dump_csv(sys.stdout, columns)
     else:
         write_csv(config.out, columns)
         write_json(config.out.with_suffix(config.out.suffix + ".meta.json"), {
@@ -346,8 +334,6 @@ def _build_config(args) -> RunConfig:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.backend is not None:
-            backends.use(args.backend)
         return _COMMANDS[args.command](_build_config(args))
     except ValidationError as exc:
         print(f"error: Validation: {exc}", file=sys.stderr)

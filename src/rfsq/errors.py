@@ -19,10 +19,6 @@ class NumericalError(RfsqError):
     """A numerical procedure failed or refused to proceed."""
 
 
-class SingularSystemError(NumericalError):
-    """The Bloch coefficient matrix is numerically singular."""
-
-
 class StepTooLargeError(NumericalError):
     """A time-domain integration blew up (instability sentinel)."""
 

@@ -36,20 +36,25 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_csv(path, columns: dict[str, np.ndarray]) -> Path:
+def dump_csv(stream, columns: dict[str, np.ndarray]) -> None:
     """Write named columns as a versioned CSV (header magic, names, rows)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     names = list(columns)
     data = [np.asarray(columns[name], dtype=float).ravel() for name in names]
     length = len(data[0])
     if any(len(col) != length for col in data):
         raise ValidationError("all CSV columns must have equal length")
+    stream.write(CSV_MAGIC + "\n")
+    stream.write(",".join(names) + "\n")
+    for row in zip(*data):
+        stream.write(",".join(format_float(v) for v in row) + "\n")
+
+
+def write_csv(path, columns: dict[str, np.ndarray]) -> Path:
+    """Write named columns to a versioned CSV file (see dump_csv)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(CSV_MAGIC + "\n")
-        fh.write(",".join(names) + "\n")
-        for row in zip(*data):
-            fh.write(",".join(format_float(v) for v in row) + "\n")
+        dump_csv(fh, columns)
     return path
 
 

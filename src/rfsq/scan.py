@@ -1,10 +1,10 @@
 """Grid scans of squeezing metrics over one or two parameter axes.
 
 A scan evaluates one metric of the steady state on a uniform grid, axis1
-outer and axis2 inner (row-major), through the active kernel backend.
+outer and axis2 inner (row-major), through the closed-form kernel.
 Grids are processed in blocks so even the largest allowed scans stay
 within a modest memory footprint. Nodes are independent, so results are
-deterministic regardless of how the backend schedules them.
+deterministic regardless of how the grid is split into blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ METRICS = ("s_theta", "s_x", "s_y", "s_pi4", "s_opt", "sigma", "sz")
 #: per-axis node cap (desk scale)
 MAX_AXIS_COUNT = 4096
 
-#: nodes evaluated per backend call
+#: nodes evaluated per kernel call
 BLOCK_NODES = 1 << 20
 
 _FIXED_THETAS = {"s_x": 0.0, "s_y": math.pi / 2.0, "s_pi4": math.pi / 4.0}

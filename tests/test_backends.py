@@ -1,94 +1,32 @@
-"""Kernel backend parity, selection machinery, and the RK4 map."""
+"""The closed-form steady-state kernel and the RK4 map."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from rfsq import AtomFieldParams, backends, build_system
-from rfsq.backends import rk4_affine_map, steady_closed_form
-from rfsq.errors import ValidationError
+from rfsq import AtomFieldParams, steady_state
+from rfsq.backends import rk4_affine_map, steady_grid
 
-NEEDS_NUMBA = pytest.mark.skipif(not backends.HAVE_NUMBA,
-                                 reason="numba not installed")
+from steady_oracle import solve_steady
 
 
-@pytest.fixture
-def restore_backend():
-    before = backends.active()
-    yield
-    backends.use(before)
-
-
-def _random_inputs(count=4096, seed=59):
-    rng = np.random.default_rng(seed)
-    return (
-        np.full(count, 1.0),
-        rng.uniform(0.0, 2.0, count),
-        np.full(count, 1.0),
-        rng.uniform(0.0, 2.0 * math.pi, count),
-        rng.uniform(0.0, 30.0, count),
-        rng.uniform(-30.0, 30.0, count),
-    )
-
-
-@NEEDS_NUMBA
-def test_grid_backends_agree(restore_backend):
-    args = _random_inputs()
-    backends.use("numba")
-    nb = backends.steady_grid(*args)
-    backends.use("numpy")
-    npy = backends.steady_grid(*args)
-    for a, b in zip(nb, npy):
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
-
-
-@NEEDS_NUMBA
-def test_relax_backends_agree(restore_backend):
-    system = build_system(AtomFieldParams(
-        n_sq=0.3, phi=1.2, omega=5.0, delta=-3.0))
-    a, b = system.a_matrix, system.b_vector
-    e, c = rk4_affine_map(a, b, 0.01)
-    s0 = np.array([0.0, 0.0, -1.0])
-    results = {}
-    for name in ("numba", "numpy"):
-        backends.use(name)
-        s, resid, steps = backends.relax(e, c, a, b, s0, 1e-12, 10_000_000)
-        results[name] = s
-        assert resid <= 1e-12
-        assert steps > 0
-    assert np.abs(results["numba"] - results["numpy"]).max() < 1e-9
-
-
-def test_selection_machinery(restore_backend):
-    assert backends.use("numpy") == "numpy"
-    assert backends.active() == "numpy"
-    with pytest.raises(ValidationError):
-        backends.use("fortran")
-    auto = backends.use("auto")
-    assert auto == ("numba" if backends.HAVE_NUMBA else "numpy")
-
-
-def test_env_flag_selects_fallback():
-    code = "import rfsq.backends as b; print(b.active())"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "RFSQ_BACKEND": "numpy"},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-@NEEDS_NUMBA
-def test_thread_cap_is_validated(restore_backend, monkeypatch):
-    monkeypatch.setenv("RFSQ_THREADS", "one")
-    with pytest.raises(ValidationError):
-        backends.use("numba")
-    monkeypatch.setenv("RFSQ_THREADS", "1")
-    assert backends.use("numba") == "numba"
+def test_closed_form_matches_oracle_over_extreme_domain():
+    # the robustness domain: N in 1e-6..1e3, |Delta| <= 1e6, Omega <= 1e5,
+    # any eta and Phi; magnitudes are log-uniform so every scale is drawn
+    rng = np.random.default_rng(67)
+    worst = 0.0
+    for _ in range(20_000):
+        params = AtomFieldParams(
+            n_sq=10.0 ** rng.uniform(-6.0, 3.0),
+            eta=rng.uniform(0.0, 1.0),
+            phi=rng.uniform(0.0, 2.0 * math.pi),
+            omega=10.0 ** rng.uniform(-6.0, 5.0),
+            delta=rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0),
+        )
+        state = steady_state(params).as_array()
+        worst = max(worst, np.abs(state - solve_steady(params)).max())
+    assert worst <= 1e-13
 
 
 def test_rk4_map_equals_textbook_step():
@@ -108,8 +46,8 @@ def test_rk4_map_equals_textbook_step():
 
 
 def test_closed_form_is_polymorphic():
-    scalar = steady_closed_form(1.0, 0.125, 1.0, 0.0, math.sqrt(3.0) / 4.0, 0.0)
+    scalar = steady_grid(1.0, 0.125, 1.0, 0.0, math.sqrt(3.0) / 4.0, 0.0)
     assert scalar[1] == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-14)
-    arr = steady_closed_form(
+    arr = steady_grid(
         1.0, np.full(4, 0.125), 1.0, 0.0, np.full(4, math.sqrt(3.0) / 4.0), 0.0)
     assert np.allclose(arr[1], math.sqrt(3.0) / 2.0, atol=1e-14)

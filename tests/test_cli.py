@@ -142,11 +142,14 @@ def test_validation_exit_codes(capsys):
     assert code == 1
 
 
-def test_backend_flag(capsys):
-    code, out, _ = run(capsys, "--backend", "numpy", "steady", "--n", "0.1",
-                       "--omega", "1.0")
-    assert code == 0
-    assert json.loads(out)["sigma"] <= 1.0 + 1e-9
+def test_overflowing_report_fails_cleanly(capsys):
+    # N (N + 1) overflows: one error line, exit 2, no NaN anywhere
+    code, out, err = run(capsys, "report", "--n", "1e200", "--omega", "1")
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
+    assert err.startswith("error: Numerical:")
+    assert "Warning" not in err
 
 
 def test_verify_fast(capsys):
