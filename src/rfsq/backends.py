@@ -22,23 +22,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .params import decay_rates
+
 #: burst length between residual checks during relaxation
 CHECK_STRIDE = 16
 
 
 def steady_grid(gamma, n_sq, eta, phi, omega, delta):
     """Steady Bloch vector (sx, sy, sz) over scalars or broadcastable arrays."""
-    m = eta * np.sqrt(n_sq * (n_sq + 1.0))
-    gm = gamma * m
-    big = gamma * (n_sq + 0.5)
-    cos_phi = np.cos(phi)
-    sin_phi = np.sin(phi)
-    gx = big + gm * cos_phi
-    gy = big - gm * cos_phi
-    gz = 2.0 * big
-    u = delta + gm * sin_phi
-    v = delta - gm * sin_phi
-    den = gx * gy * gz + omega * omega * gx + u * v * gz
+    m, q, gx, _, gz = decay_rates(gamma, n_sq, eta, phi)
+    u = delta + gamma * m * np.sin(phi)
+    # gx gy + u v = gamma^2 q + delta^2, with v = delta - gamma M sin(phi)
+    lorentz = gamma * gamma * q + delta * delta
+    den = gz * lorentz + omega * omega * gx
     sy = omega * gamma * gx / den
     sx = -u * sy / gx
     sz = (omega * sy - gamma) / gz

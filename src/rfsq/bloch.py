@@ -125,6 +125,9 @@ def evolve(
 ) -> list[tuple[float, BlochState]]:
     """Classic fixed-step RK4 trajectory from s0 over [0, t_final].
 
+    Each step applies the one-step RK4 map ``s -> E s + c`` of the linear
+    system (``backends.rk4_affine_map``).
+
     Returns the ordered list of (t, state) samples including both
     endpoints. Raises StepTooLargeError if any component leaves the
     physical ball (instability sentinel).
@@ -138,24 +141,15 @@ def evolve(
     system = build_system(params)
     a = system.a_matrix
     b = system.b_vector
-
-    def deriv(s):
-        return a @ s + b
-
+    e, c = backends.rk4_affine_map(a, b, dt)
     s = s0.as_array()
-    t = 0.0
     out = [(0.0, s0)]
     n_full = int(t_final / dt)
     remainder = t_final - n_full * dt
-    for i in range(n_full + 1):
-        h = dt if i < n_full else remainder
-        if h <= 0.0:
-            break
-        k1 = deriv(s)
-        k2 = deriv(s + (h / 2.0) * k1)
-        k3 = deriv(s + (h / 2.0) * k2)
-        k4 = deriv(s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for i in range(n_full + (remainder > 0.0)):
+        if i == n_full:  # the final partial step gets its own map
+            e, c = backends.rk4_affine_map(a, b, remainder)
+        s = e @ s + c
         t = (i + 1) * dt if i < n_full else t_final
         if np.abs(s).max() > BLOW_LIMIT:
             raise StepTooLargeError(

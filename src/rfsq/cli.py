@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from ._version import __version__
@@ -41,19 +40,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ValidationError(message)
-
-
-@dataclass
-class RunConfig:
-    """One resolved CLI invocation."""
-
-    command: str
-    params: AtomFieldParams
-    scan_spec: ScanSpec | None = None
-    out: Path | None = None
-    fmt: str = "json"
-    seed: int = 42
-    extras: dict = field(default_factory=dict)
 
 
 def _param_parent() -> argparse.ArgumentParser:
@@ -164,92 +150,66 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(config: RunConfig, payload: dict) -> None:
-    if config.fmt == "csv":
+def _emit(args, payload: dict) -> None:
+    if args.fmt == "csv":
         columns = {k: [float(v)] for k, v in payload.items()
                    if isinstance(v, (int, float))}
-        if config.out is None:
+        if args.out is None:
             dump_csv(sys.stdout, columns)
         else:
-            write_csv(config.out, columns)
+            write_csv(args.out, columns)
     else:
-        if config.out is None:
+        if args.out is None:
             print(dump_json(payload))
         else:
-            write_json(config.out, payload)
+            write_json(args.out, payload)
 
 
-def _inputs_dict(params: AtomFieldParams) -> dict:
-    return {
-        "gamma": params.gamma, "n_sq": params.n_sq, "eta": params.eta,
-        "phi": params.phi, "omega": params.omega, "delta": params.delta,
-    }
-
-
-def _cmd_steady(config: RunConfig) -> int:
-    state = steady_state(config.params)
-    _emit(config, {
+def _cmd_steady(args, params: AtomFieldParams) -> int:
+    state = steady_state(params)
+    _emit(args, {
         "sx": state.sx, "sy": state.sy, "sz": state.sz,
-        "sigma": state.sigma, "inputs": _inputs_dict(config.params),
+        "sigma": state.sigma, "inputs": params.inputs(),
     })
     return 0
 
 
-def _cmd_report(config: RunConfig) -> int:
-    report = full_report(config.params)
-    payload = report.as_dict()
-    payload["inputs"] = _inputs_dict(config.params)
-    _emit(config, payload)
+def _cmd_report(args, params: AtomFieldParams) -> int:
+    payload = full_report(params).as_dict()
+    payload["inputs"] = params.inputs()
+    _emit(args, payload)
     return 0
 
 
-def _cmd_scan(config: RunConfig) -> int:
-    result = scan(config.scan_spec)
-    spec = config.scan_spec
-    columns = {}
-    if spec.axis2 is None:
-        columns[spec.axis1.name] = spec.axis1.values
+def _cmd_scan(args, params: AtomFieldParams) -> int:
+    result = scan(ScanSpec(axis1=args.axis1, axis2=args.axis2, fixed=params,
+                           metric=args.metric, theta=args.theta))
+    if args.out is None:
+        dump_csv(sys.stdout, result.columns())
     else:
-        import numpy as np
-
-        g1, g2 = np.meshgrid(spec.axis1.values, spec.axis2.values, indexing="ij")
-        columns[spec.axis1.name] = g1.ravel()
-        columns[spec.axis2.name] = g2.ravel()
-    columns[spec.metric] = result.values.ravel()
-    if config.out is None:
-        dump_csv(sys.stdout, columns)
-    else:
-        write_csv(config.out, columns)
-        write_json(config.out.with_suffix(config.out.suffix + ".meta.json"), {
-            "version": __version__,
-            "metric": spec.metric,
-            "axes": [
-                {"name": a.name, "start": a.start, "stop": a.stop, "count": a.count}
-                for a in ([spec.axis1] + ([spec.axis2] if spec.axis2 else []))
-            ],
-            "fixed": _inputs_dict(spec.fixed),
-            "theta": spec.theta,
-            "errors": [list(e) for e in result.errors],
-        })
+        write_csv(args.out, result.columns())
+        write_json(args.out.with_suffix(args.out.suffix + ".meta.json"),
+                   {**result.metadata(), "theta": args.theta})
+    if result.errors:
+        raise NumericalError(
+            f"{len(result.errors)} of {result.values.size} scan nodes failed "
+            f"to evaluate (first at {list(result.errors[0][0])})"
+        )
     return 0
 
 
-def _cmd_figure(config: RunConfig) -> int:
-    out = config.out or Path(f"fig{config.extras['number']}.csv")
-    paths = emit_figure(config.extras["number"], out,
-                        script=config.extras["script"])
-    for kind, path in paths.items():
+def _cmd_figure(args, params: AtomFieldParams) -> int:
+    out = args.out or Path(f"fig{args.number}.csv")
+    for kind, path in emit_figure(args.number, out, script=args.script).items():
         print(f"{kind}: {path}")
     return 0
 
 
-def _cmd_optimize(config: RunConfig) -> int:
-    box = config.extras["box"]
-    report = minimize_variance(config.params.n_sq, config.params.phi, box,
-                               eta=config.params.eta)
+def _cmd_optimize(args, params: AtomFieldParams) -> int:
+    report = minimize_variance(params.n_sq, params.phi, args.box, eta=params.eta)
     payload = report.as_dict()
-    payload["inputs"] = _inputs_dict(config.params)
-    _emit(config, payload)
+    payload["inputs"] = params.inputs()
+    _emit(args, payload)
     if not report.converged:
         print("error: NoConvergence: optimizer hit its evaluation budget",
               file=sys.stderr)
@@ -257,14 +217,13 @@ def _cmd_optimize(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_pure(config: RunConfig) -> int:
-    params = config.params
-    if config.extras["solve_omega"]:
+def _cmd_pure(args, params: AtomFieldParams) -> int:
+    if args.solve_omega:
         omega, sigma = find_pure_curve(params.phi, params.n_sq, params.delta,
                                        eta=params.eta)
-        _emit(config, {
+        _emit(args, {
             "omega": omega, "sigma": sigma, "pure": is_pure_point(sigma),
-            "inputs": _inputs_dict(params),
+            "inputs": params.inputs(),
         })
         return 0
     if abs(params.phi) < 1e-12:
@@ -280,18 +239,17 @@ def _cmd_pure(config: RunConfig) -> int:
             "no closed-form condition for this phi and N; "
             "use --solve-omega to search numerically"
         )
-    _emit(config, sol.as_dict())
+    _emit(args, sol.as_dict())
     return 0
 
 
-def _cmd_crossover(config: RunConfig) -> int:
-    _emit(config, {"n_star": find_crossover(eta=config.params.eta)})
+def _cmd_crossover(args, params: AtomFieldParams) -> int:
+    _emit(args, {"n_star": find_crossover(eta=params.eta)})
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    ok = run_verify(seed=config.seed, fast=config.extras["fast"])
-    return 0 if ok else 3
+def _cmd_verify(args, params: AtomFieldParams) -> int:
+    return 0 if run_verify(seed=args.seed, fast=args.fast) else 3
 
 
 _COMMANDS = {
@@ -306,35 +264,14 @@ _COMMANDS = {
 }
 
 
-def _build_config(args) -> RunConfig:
-    params = AtomFieldParams(
-        gamma=args.gamma, n_sq=args.n_sq, eta=args.eta,
-        phi=args.phi, omega=args.omega, delta=args.delta,
-    )
-    config = RunConfig(
-        command=args.command, params=params,
-        out=args.out, fmt=args.fmt, seed=args.seed,
-    )
-    if args.command == "scan":
-        config.scan_spec = ScanSpec(
-            axis1=args.axis1, axis2=args.axis2, fixed=params,
-            metric=args.metric, theta=args.theta,
-        )
-    elif args.command == "figure":
-        config.extras = {"number": args.number, "script": args.script}
-    elif args.command == "optimize":
-        config.extras = {"box": args.box}
-    elif args.command == "pure":
-        config.extras = {"solve_omega": args.solve_omega}
-    elif args.command == "verify":
-        config.extras = {"fast": args.fast}
-    return config
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](_build_config(args))
+        params = AtomFieldParams(
+            gamma=args.gamma, n_sq=args.n_sq, eta=args.eta,
+            phi=args.phi, omega=args.omega, delta=args.delta,
+        )
+        return _COMMANDS[args.command](args, params)
     except ValidationError as exc:
         print(f"error: Validation: {exc}", file=sys.stderr)
         return 1

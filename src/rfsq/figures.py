@@ -14,129 +14,83 @@ squeezed-vacuum input variance over the photon number.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from ._version import __version__
 from .errors import ValidationError
 from .io import write_csv, write_json
 from .metrics import input_vacuum_variance, pure_state_variance
 from .params import AtomFieldParams
-from .scan import AxisSpec, ScanSpec, scan
+from .scan import AxisSpec, ScanSpec, scan, scan_metadata
 
 #: photon numbers of the three-panel presets
 PANEL_NS = (0.05, 0.125, 0.5)
 
 
 def _surface(metric, axis1, axis2, fixed):
-    spec = ScanSpec(axis1=axis1, axis2=axis2, fixed=fixed, metric=metric)
-    result = scan(spec)
-    g1, g2 = np.meshgrid(axis1.values, axis2.values, indexing="ij")
-    columns = {
-        axis1.name: g1.ravel(),
-        axis2.name: g2.ravel(),
-        metric: result.values.ravel(),
-    }
-    return columns, result.errors, spec
+    result = scan(ScanSpec(axis1=axis1, axis2=axis2, fixed=fixed, metric=metric))
+    return result.columns(), result.metadata()
 
 
-def _panels(metric, axis, fixed_template):
+def _panels(metric, axis, template):
     columns = {axis.name: axis.values}
     errors = []
     for n in PANEL_NS:
-        fixed = AtomFieldParams(
-            gamma=fixed_template.gamma, n_sq=n, eta=fixed_template.eta,
-            phi=fixed_template.phi, omega=fixed_template.omega,
-            delta=fixed_template.delta,
-        )
+        fixed = replace(template, n_sq=n)
         for m in (metric, "sigma"):
             result = scan(ScanSpec(axis1=axis, fixed=fixed, metric=m))
             columns[f"{m}_N{n:g}"] = result.values
             errors.extend(result.errors)
-    return columns, errors
+    meta = scan_metadata(metric, [axis], template, errors)
+    meta["panels"] = list(PANEL_NS)
+    return columns, meta
 
 
 def build_figure(n: int):
     """Columns and metadata of preset n (2..7)."""
     if n == 2:
-        fixed = AtomFieldParams(n_sq=0.1, delta=10.0)
-        columns, errors, spec = _surface(
+        columns, meta = _surface(
             "s_x",
             AxisSpec("omega", 0.0, 30.0, 301),
             AxisSpec("phi", 0.0, math.pi, 181),
-            fixed,
+            AtomFieldParams(n_sq=0.1, delta=10.0),
         )
-        meta = _meta(n, spec=spec, errors=errors)
     elif n == 3:
-        fixed = AtomFieldParams(n_sq=0.125, phi=math.pi)
-        columns, errors, spec = _surface(
+        columns, meta = _surface(
             "s_x",
             AxisSpec("omega", 0.0, 40.0, 301),
             AxisSpec("delta", 0.0, 25.0, 181),
-            fixed,
+            AtomFieldParams(n_sq=0.125, phi=math.pi),
         )
-        meta = _meta(n, spec=spec, errors=errors)
     elif n == 4:
-        template = AtomFieldParams(phi=math.pi, delta=12.5)
-        axis = AxisSpec("omega", 0.0, 40.0, 601)
-        columns, errors = _panels("s_x", axis, template)
-        meta = _meta(n, axes=[axis], fixed=template, errors=errors,
-                     panels=list(PANEL_NS), metric="s_x")
+        columns, meta = _panels("s_x", AxisSpec("omega", 0.0, 40.0, 601),
+                                AtomFieldParams(phi=math.pi, delta=12.5))
     elif n == 5:
-        ns = np.linspace(0.001, 1.5, 600)
+        axis = AxisSpec("n_sq", 0.001, 1.5, 600)
+        ns = axis.values
         columns = {
             "n_sq": ns,
             "s_ps": np.array([pure_state_variance(v) for v in ns]),
             "s_sv": np.array([input_vacuum_variance(v) for v in ns]),
         }
-        axis = AxisSpec("n_sq", 0.001, 1.5, 600)
-        meta = _meta(n, axes=[axis], fixed=AtomFieldParams(), errors=[],
-                     metric="s_ps,s_sv")
+        meta = scan_metadata("s_ps,s_sv", [axis], AtomFieldParams(), [])
     elif n == 6:
-        fixed = AtomFieldParams(n_sq=0.125, phi=math.pi / 2.0)
-        columns, errors, spec = _surface(
+        columns, meta = _surface(
             "s_pi4",
             AxisSpec("omega", 0.0, 3.0, 301),
             AxisSpec("delta", 0.0, 1.0, 181),
-            fixed,
+            AtomFieldParams(n_sq=0.125, phi=math.pi / 2.0),
         )
-        meta = _meta(n, spec=spec, errors=errors)
     elif n == 7:
-        template = AtomFieldParams(phi=math.pi / 2.0, delta=0.25)
-        axis = AxisSpec("omega", 0.0, 3.0, 601)
-        columns, errors = _panels("s_pi4", axis, template)
-        meta = _meta(n, axes=[axis], fixed=template, errors=errors,
-                     panels=list(PANEL_NS), metric="s_pi4")
+        columns, meta = _panels("s_pi4", AxisSpec("omega", 0.0, 3.0, 601),
+                                AtomFieldParams(phi=math.pi / 2.0, delta=0.25))
     else:
         raise ValidationError(f"no figure preset {n}; expected 2..7")
+    meta["figure"] = n
     meta["columns"] = list(columns)
     return columns, meta
-
-
-def _meta(n, spec=None, axes=None, fixed=None, errors=(), panels=None,
-          metric=None):
-    if spec is not None:
-        axes = [spec.axis1] + ([spec.axis2] if spec.axis2 else [])
-        fixed = spec.fixed
-        metric = spec.metric
-    meta = {
-        "figure": n,
-        "version": __version__,
-        "metric": metric,
-        "axes": [
-            {"name": a.name, "start": a.start, "stop": a.stop, "count": a.count}
-            for a in axes
-        ],
-        "fixed": {
-            "gamma": fixed.gamma, "n_sq": fixed.n_sq, "eta": fixed.eta,
-            "phi": fixed.phi, "omega": fixed.omega, "delta": fixed.delta,
-        },
-        "errors": [list(e) for e in errors],
-    }
-    if panels is not None:
-        meta["panels"] = panels
-    return meta
 
 
 def _gnuplot_script(csv_path: Path, meta: dict) -> str:

@@ -127,7 +127,7 @@ def pure_state_variance(n_sq: float, eta: float = 1.0) -> float:
     Equals (N - M) / (N + M + 1/2); for an ideal reservoir this is also
     <sz>(1 + <sz>) with <sz> = (N - M)/(N + M).
     """
-    m = eta * math.sqrt(n_sq * (n_sq + 1.0))
+    m = derive_rates(AtomFieldParams(n_sq=n_sq, eta=eta)).m_corr
     return (n_sq - m) / (n_sq + m + 0.5)
 
 
@@ -136,7 +136,7 @@ def input_vacuum_variance(n_sq: float, eta: float = 1.0) -> float:
 
     (N - M) / 2 in the same normalisation, approaching -0.25 as N grows.
     """
-    m = eta * math.sqrt(n_sq * (n_sq + 1.0))
+    m = derive_rates(AtomFieldParams(n_sq=n_sq, eta=eta)).m_corr
     return (n_sq - m) / 2.0
 
 

@@ -113,8 +113,7 @@ def minimize_variance(
     ws = np.linspace(w_lo, w_hi, 1 if w_lo == w_hi else coarse)
     ds = np.linspace(d_lo, d_hi, 1 if d_lo == d_hi else coarse)
     # delta as the outer axis so argmin's first hit breaks ties as documented
-    grid_d, grid_w = np.meshgrid(ds, ws, indexing="ij")
-    vals = _optimal_variance_grid(n_sq, phi, grid_w, grid_d, eta)
+    vals = _optimal_variance_grid(n_sq, phi, ws[None, :], ds[:, None], eta)
     i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
     n_evals = vals.size
     x0 = np.array([ws[j], ds[i]])

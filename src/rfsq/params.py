@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -72,6 +74,13 @@ class AtomFieldParams:
                     f"(mismatch {mismatch:.3e} rad)"
                 )
 
+    def inputs(self) -> dict:
+        """The six physical inputs by name (the optional phases excluded)."""
+        return {
+            "gamma": self.gamma, "n_sq": self.n_sq, "eta": self.eta,
+            "phi": self.phi, "omega": self.omega, "delta": self.delta,
+        }
+
 
 @dataclass(frozen=True)
 class DerivedRates:
@@ -90,15 +99,35 @@ class DerivedRates:
     gamma_z: float
 
 
+def decay_rates(gamma, n_sq, eta, phi):
+    """M, q = (N + 1/2)^2 - M^2 and the rates (gamma_x, gamma_y, gamma_z).
+
+    Polymorphic over scalars and broadcastable arrays. Every quantity is a
+    sum of non-negative terms, so nothing cancels: q = (1 - eta^2) N(N+1)
+    + 1/4, N + 1/2 - M = q / (N + 1/2 + M), and with cos Phi = 2 cos^2(Phi/2)
+    - 1 the quadrature rates are gamma (N + 1/2 - M + 2 M cos^2(Phi/2)) and
+    gamma (N + 1/2 - M + 2 M sin^2(Phi/2)).
+    """
+    n_n1 = n_sq * (n_sq + 1.0)
+    m = eta * np.sqrt(n_n1)
+    q = (1.0 - eta) * (1.0 + eta) * n_n1 + 0.25
+    low = q / (n_sq + 0.5 + m)
+    cos_half = np.cos(0.5 * phi)
+    sin_half = np.sin(0.5 * phi)
+    gamma_x = gamma * (low + 2.0 * m * (cos_half * cos_half))
+    gamma_y = gamma * (low + 2.0 * m * (sin_half * sin_half))
+    gamma_z = 2.0 * gamma * (n_sq + 0.5)
+    return m, q, gamma_x, gamma_y, gamma_z
+
+
 def derive_rates(params: AtomFieldParams) -> DerivedRates:
     """Compute M, Gamma and the quadrature decay rates from the inputs."""
-    m = params.eta * math.sqrt(params.n_sq * (params.n_sq + 1.0))
-    big = params.gamma * (params.n_sq + 0.5)
-    gm_cos = params.gamma * m * math.cos(params.phi)
+    m, _, gamma_x, gamma_y, gamma_z = decay_rates(
+        params.gamma, params.n_sq, params.eta, params.phi)
     return DerivedRates(
-        m_corr=m,
-        big_gamma=big,
-        gamma_x=big + gm_cos,
-        gamma_y=big - gm_cos,
-        gamma_z=2.0 * big,
+        m_corr=float(m),
+        big_gamma=float(gamma_z) / 2.0,
+        gamma_x=float(gamma_x),
+        gamma_y=float(gamma_y),
+        gamma_z=float(gamma_z),
     )

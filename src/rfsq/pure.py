@@ -70,7 +70,7 @@ def _achieved(phi, n_sq, eta, omega, delta) -> float:
 def condition_phi0(n_sq: float, eta: float = 1.0) -> PureStateSolution:
     """Pure state at Phi = 0: resonant drive with omega = sqrt(M)/(sqrt(N+1)+sqrt(N))."""
     _require_photons(n_sq)
-    m = eta * math.sqrt(n_sq * (n_sq + 1.0))
+    m = derive_rates(AtomFieldParams(n_sq=n_sq, eta=eta)).m_corr
     omega = math.sqrt(m) / (math.sqrt(n_sq + 1.0) + math.sqrt(n_sq))
     params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=0.0, omega=omega, delta=0.0)
     _, beta = sphere_angles(params)
@@ -89,7 +89,7 @@ def condition_phi0(n_sq: float, eta: float = 1.0) -> PureStateSolution:
 def condition_phi_half_pi(n_sq: float, eta: float = 1.0) -> PureStateSolution:
     """Pure state at Phi = pi/2: delta = Gamma - gM, omega = sqrt(2M)/(sqrt(N+1)+sqrt(N))."""
     _require_photons(n_sq)
-    m = eta * math.sqrt(n_sq * (n_sq + 1.0))
+    m = derive_rates(AtomFieldParams(n_sq=n_sq, eta=eta)).m_corr
     delta = (n_sq + 0.5) - m
     omega = math.sqrt(2.0 * m) / (math.sqrt(n_sq + 1.0) + math.sqrt(n_sq))
     params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=math.pi / 2.0,
@@ -117,7 +117,7 @@ def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0) -> PureStateSo
     _require_photons(n_sq)
     if delta <= 0.0:
         raise ValidationError(f"delta must be positive, got {delta}")
-    m = eta * math.sqrt(n_sq * (n_sq + 1.0))
+    m = derive_rates(AtomFieldParams(n_sq=n_sq, eta=eta)).m_corr
     margin = (n_sq + 0.5) - m
     if delta < 10.0 * margin:
         warnings.warn(

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._version import __version__
 from .bloch import steady_state_grid
 from .errors import ValidationError
 from .metrics import variance_theta_xyz
@@ -89,6 +90,10 @@ class ScanSpec:
             raise ValidationError("a theta axis requires the s_theta metric")
 
     @property
+    def axes(self) -> list[AxisSpec]:
+        return [self.axis1] + ([self.axis2] if self.axis2 else [])
+
+    @property
     def shape(self) -> tuple[int, ...]:
         if self.axis2 is None:
             return (self.axis1.count,)
@@ -115,6 +120,36 @@ class ScanResult:
     def axis2_values(self) -> np.ndarray | None:
         return None if self.spec.axis2 is None else self.spec.axis2.values
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """Long-form columns: one row per node, axis1 outer, metric last."""
+        spec = self.spec
+        if spec.axis2 is None:
+            return {spec.axis1.name: spec.axis1.values, spec.metric: self.values}
+        return {
+            spec.axis1.name: np.repeat(spec.axis1.values, spec.axis2.count),
+            spec.axis2.name: np.tile(spec.axis2.values, spec.axis1.count),
+            spec.metric: self.values.ravel(),
+        }
+
+    def metadata(self) -> dict:
+        """Sidecar fields that make the scan reproducible (see scan_metadata)."""
+        return scan_metadata(self.spec.metric, self.spec.axes, self.spec.fixed,
+                             self.errors)
+
+
+def scan_metadata(metric, axes, fixed: AtomFieldParams, errors) -> dict:
+    """Artifact version, metric, axes, fixed inputs and per-node errors."""
+    return {
+        "version": __version__,
+        "metric": metric,
+        "axes": [
+            {"name": a.name, "start": a.start, "stop": a.stop, "count": a.count}
+            for a in axes
+        ],
+        "fixed": fixed.inputs(),
+        "errors": [list(e) for e in errors],
+    }
+
 
 def _metric_from_states(metric, sx, sy, sz, theta):
     if metric == "sigma":
@@ -129,63 +164,38 @@ def _metric_from_states(metric, sx, sy, sz, theta):
 
 
 def scan(spec: ScanSpec) -> ScanResult:
-    """Evaluate the metric at every grid node of the spec."""
-    fixed = spec.fixed
-    node_fields = {
-        "gamma": fixed.gamma,
-        "n_sq": fixed.n_sq,
-        "eta": fixed.eta,
-        "phi": fixed.phi,
-        "omega": fixed.omega,
-        "delta": fixed.delta,
-        "theta": spec.theta,
-    }
+    """Evaluate the metric at every grid node of the spec.
+
+    Axis1 enters the kernel as a column and axis2 as a row, so the grid is
+    formed by broadcasting: whatever depends on one axis alone is computed
+    once per axis value, and constant inputs stay scalars.
+    """
+    inputs = spec.fixed.inputs()
+    # start and stop are the extremes of each axis, so checking the
+    # parameter invariants there covers every node
+    for axis in spec.axes:
+        if axis.name != "theta":
+            AtomFieldParams(**{**inputs, axis.name: axis.start})
+            AtomFieldParams(**{**inputs, axis.name: axis.stop})
+
+    node = {**inputs, "theta": spec.theta}
     ax1 = spec.axis1.values
-    shape = spec.shape
-    n_nodes = int(np.prod(shape))
-    flat = np.empty(n_nodes)
-
-    if spec.axis2 is None:
-        grids = {spec.axis1.name: ax1}
-        inner = 1
-    else:
-        ax2 = spec.axis2.values
-        g1, g2 = np.meshgrid(ax1, ax2, indexing="ij")
-        grids = {spec.axis1.name: g1.ravel(), spec.axis2.name: g2.ravel()}
+    values = np.empty(spec.shape)
+    inner = 1
+    if spec.axis2 is not None:
+        node[spec.axis2.name] = spec.axis2.values
         inner = spec.axis2.count
+    rows = max(BLOCK_NODES // inner, 1)
+    with np.errstate(all="ignore"):
+        for lo in range(0, spec.axis1.count, rows):
+            block = ax1[lo:lo + rows]
+            node[spec.axis1.name] = block if spec.axis2 is None else block[:, None]
+            sx, sy, sz = steady_state_grid(*(node[k] for k in inputs))
+            values[lo:lo + rows] = _metric_from_states(spec.metric, sx, sy, sz,
+                                                       node["theta"])
 
-    # validate grid values against the parameter invariants once, via the
-    # most restrictive node of each varying field
-    for name, values in grids.items():
-        if name == "theta":
-            continue
-        probe = {**{k: v for k, v in node_fields.items() if k != "theta"}}
-        probe[name] = float(np.min(values))
-        AtomFieldParams(**probe)
-        probe[name] = float(np.max(values))
-        AtomFieldParams(**probe)
-
-    errors = []
-    block = max(BLOCK_NODES // max(inner, 1), 1) * max(inner, 1)
-    for lo in range(0, n_nodes, block):
-        hi = min(lo + block, n_nodes)
-        sl = slice(lo, hi)
-        vals = {}
-        for name in ("gamma", "n_sq", "eta", "phi", "omega", "delta", "theta"):
-            vals[name] = grids[name][sl] if name in grids else node_fields[name]
-        sx, sy, sz = steady_state_grid(
-            vals["gamma"], vals["n_sq"], vals["eta"],
-            vals["phi"], vals["omega"], vals["delta"],
-        )
-        out = _metric_from_states(spec.metric, sx, sy, sz, vals["theta"])
-        out = np.broadcast_to(out, (hi - lo,)).astype(float, copy=True)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            for k in np.flatnonzero(bad):
-                idx = np.unravel_index(lo + int(k), shape)
-                errors.append((tuple(int(i) for i in idx),
-                               "steady state failed to evaluate"))
-            out[bad] = 0.0
-        flat[sl] = out
-
-    return ScanResult(spec=spec, values=flat.reshape(shape), errors=errors)
+    bad = ~np.isfinite(values)
+    errors = [(tuple(int(i) for i in idx), "steady state failed to evaluate")
+              for idx in np.argwhere(bad)]
+    values[bad] = 0.0
+    return ScanResult(spec=spec, values=values, errors=errors)

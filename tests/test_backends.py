@@ -51,3 +51,48 @@ def test_closed_form_is_polymorphic():
     arr = steady_grid(
         1.0, np.full(4, 0.125), 1.0, 0.0, np.full(4, math.sqrt(3.0) / 4.0), 0.0)
     assert np.allclose(arr[1], math.sqrt(3.0) / 2.0, atol=1e-14)
+
+
+def _mpmath_steady(params, mp):
+    """Bloch steady state at 50 digits, with the rates written out directly."""
+    gamma, n, eta, phi, omega, delta = (mp.mpf(float(x)) for x in (
+        params.gamma, params.n_sq, params.eta, params.phi, params.omega,
+        params.delta))
+    half = mp.mpf(1) / 2
+    m = eta * mp.sqrt(n * (n + 1))
+    gm_cos = gamma * m * mp.cos(phi)
+    gm_sin = gamma * m * mp.sin(phi)
+    a = mp.matrix([
+        [-(gamma * (n + half) + gm_cos), -(delta + gm_sin), 0],
+        [delta - gm_sin, -(gamma * (n + half) - gm_cos), -omega],
+        [0, omega, -2 * gamma * (n + half)],
+    ])
+    s = mp.lu_solve(a, mp.matrix([0, 0, gamma]))
+    return np.array([float(s[i]) for i in range(3)])
+
+
+def test_closed_form_is_accurate_against_fifty_digits():
+    # gamma_x = gamma (N + 1/2 + M cos Phi) cancels near Phi = pi for large
+    # N; half of the draws sit there, the rest span the whole domain
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        found = AtomFieldParams(n_sq=1e3, phi=math.pi, delta=25.0, omega=1e5)
+        assert np.abs(steady_state(found).as_array()
+                      - _mpmath_steady(found, mp)).max() <= 2e-15
+        rng = np.random.default_rng(71)
+        worst = 0.0
+        for k in range(256):
+            if k % 2:
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+            else:
+                phi = math.pi + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, 0.0)
+            params = AtomFieldParams(
+                n_sq=10.0 ** rng.uniform(-6.0, 3.0),
+                eta=1.0 if k % 3 == 0 else rng.uniform(0.0, 1.0),
+                phi=phi,
+                omega=10.0 ** rng.uniform(-6.0, 5.0),
+                delta=rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0),
+            )
+            error = np.abs(steady_state(params).as_array() - _mpmath_steady(params, mp))
+            worst = max(worst, error.max())
+    assert worst <= 2e-15

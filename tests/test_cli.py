@@ -63,6 +63,55 @@ def test_scan_angle_axis_to_stdout(capsys):
     assert float(lines[-1].split(",")[0]) == pytest.approx(math.pi, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_failed_scan_nodes_exit_two_on_stdout(capsys):
+    # N (N + 1) overflows at the two upper nodes: the CSV still comes out,
+    # with 0 at the failed nodes, then one error line and exit 2
+    code, out, err = run(capsys, "scan", "--metric", "s_x",
+                         "--axis1", "n_sq:0:1e200:3", "--omega", "1")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[:2] == ["# rfsq-csv v1", "n_sq,s_x"]
+    assert [float(line.split(",")[1]) for line in lines[3:]] == [0.0, 0.0]
+    assert err == ("error: Numerical: 2 of 3 scan nodes failed to evaluate "
+                   "(first at [1])\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_failed_scan_nodes_exit_two_with_out(capsys, tmp_path):
+    out_path = tmp_path / "scan.csv"
+    code, out, err = run(capsys, "scan", "--metric", "s_x",
+                         "--axis1", "n_sq:0:1e200:3", "--omega", "1",
+                         "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert err == ("error: Numerical: 2 of 3 scan nodes failed to evaluate "
+                   "(first at [1])\n")
+    assert list(read_csv(out_path)["s_x"][1:]) == [0.0, 0.0]
+    meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
+    assert [index for index, _ in meta["errors"]] == [[1], [2]]
+
+
+def test_scan_reproduces_figure_three(capsys, tmp_path):
+    # one data path: the CLI scan of figure 3's grid writes the same bytes,
+    # and the same sidecar apart from the keys each front end adds
+    code, _, _ = run(capsys, "scan", "--metric", "s_x",
+                     "--axis1", "omega:0:40:301", "--axis2", "delta:0:25:181",
+                     "--n", "0.125", "--phi", "pi",
+                     "--out", str(tmp_path / "scan.csv"))
+    assert code == 0
+    code, _, _ = run(capsys, "figure", "3", "--out", str(tmp_path / "fig3.csv"))
+    assert code == 0
+    assert ((tmp_path / "scan.csv").read_bytes()
+            == (tmp_path / "fig3.csv").read_bytes())
+    scan_meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
+    figure_meta = json.loads((tmp_path / "fig3.csv.meta.json").read_text())
+    for key in ("figure", "columns", "theta"):
+        scan_meta.pop(key, None)
+        figure_meta.pop(key, None)
+    assert scan_meta == figure_meta
+
+
 def test_figure_emission(capsys, tmp_path):
     out_path = tmp_path / "fig5.csv"
     code, out, _ = run(capsys, "figure", "5", "--out", str(out_path), "--script")

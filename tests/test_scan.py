@@ -5,25 +5,43 @@ import math
 import numpy as np
 import pytest
 
-from rfsq import AtomFieldParams, AxisSpec, ScanSpec, full_report, scan
+from rfsq import (
+    AtomFieldParams,
+    AxisSpec,
+    ScanSpec,
+    full_report,
+    scan,
+    steady_state,
+    variance_theta,
+)
 from rfsq.errors import ValidationError
 
 
 def test_tiny_scan_matches_point_reports():
-    spec = ScanSpec(
-        axis1=AxisSpec("omega", 0.5, 1.5, 2),
-        axis2=AxisSpec("delta", 0.0, 1.0, 2),
-        fixed=AtomFieldParams(n_sq=0.125, phi=math.pi / 2.0),
-        metric="s_pi4",
-    )
-    result = scan(spec)
-    assert result.values.shape == (2, 2)
-    assert not result.errors
-    for i, omega in enumerate((0.5, 1.5)):
-        for j, delta in enumerate((0.0, 1.0)):
-            report = full_report(AtomFieldParams(
-                n_sq=0.125, phi=math.pi / 2.0, omega=omega, delta=delta))
-            assert result.values[i, j] == pytest.approx(report.s_pi4, abs=1e-12)
+    cases = [
+        ("s_pi4", AxisSpec("omega", 0.5, 1.5, 2), AxisSpec("delta", 0.0, 1.0, 2),
+         AtomFieldParams(n_sq=0.125, phi=math.pi / 2.0)),
+        # theta surfaces: the kernel sees only the other axis, so its output
+        # is narrower than the grid and the metric broadcasts it over theta
+        ("s_theta", AxisSpec("omega", 0.25, 2.0, 4), AxisSpec("theta", 0.0, math.pi, 5),
+         AtomFieldParams(n_sq=0.125, phi=math.pi / 3.0, delta=0.3)),
+        ("s_theta", AxisSpec("theta", 0.0, math.pi, 5), AxisSpec("n_sq", 0.05, 0.5, 4),
+         AtomFieldParams(phi=math.pi / 3.0, omega=0.7, delta=0.3)),
+    ]
+    for metric, axis1, axis2, fixed in cases:
+        result = scan(ScanSpec(axis1=axis1, axis2=axis2, fixed=fixed, metric=metric))
+        assert result.values.shape == (axis1.count, axis2.count)
+        assert not result.errors
+        for i, v1 in enumerate(axis1.values):
+            for j, v2 in enumerate(axis2.values):
+                node = {**fixed.inputs(), axis1.name: float(v1), axis2.name: float(v2)}
+                theta = node.pop("theta", None)
+                params = AtomFieldParams(**node)
+                if metric == "s_pi4":
+                    expected = full_report(params).s_pi4
+                else:
+                    expected = variance_theta(steady_state(params), theta)
+                assert result.values[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_one_dimensional_scan_matches_surface_row():
