@@ -42,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _flag_type(convert):
+    """A ``type=`` converter whose ValueError message argparse prints
+    (it replaces that of a plain ValueError with the function's name)."""
+    def converted(text):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return converted
+
+
 def _param_parent() -> argparse.ArgumentParser:
     parent = _Parser(add_help=False)
     group = parent.add_argument_group("physical parameters")
@@ -51,7 +62,7 @@ def _param_parent() -> argparse.ArgumentParser:
                        help="squeezed photon number N")
     group.add_argument("--eta", type=float, default=1.0,
                        help="squeezing ideality in [0, 1] (default 1)")
-    group.add_argument("--phi", type=parse_angle, default=0.0,
+    group.add_argument("--phi", type=_flag_type(parse_angle), default=0.0,
                        help="relative phase (radians or e.g. '0.5pi')")
     group.add_argument("--omega", type=float, default=0.0,
                        help="Rabi frequency in units of gamma")
@@ -67,6 +78,7 @@ def _param_parent() -> argparse.ArgumentParser:
     return parent
 
 
+@_flag_type
 def _parse_axis(text: str) -> AxisSpec:
     parts = text.split(":")
     if len(parts) != 4:
@@ -75,12 +87,10 @@ def _parse_axis(text: str) -> AxisSpec:
         )
     name = parts[0]
     scalar = parse_angle if name in ("phi", "theta") else float
-    try:
-        return AxisSpec(name, scalar(parts[1]), scalar(parts[2]), int(parts[3]))
-    except ValueError as exc:
-        raise ValidationError(f"bad axis {text!r}: {exc}") from exc
+    return AxisSpec(name, scalar(parts[1]), scalar(parts[2]), int(parts[3]))
 
 
+@_flag_type
 def _parse_box(text: str):
     sides = {}
     for chunk in text.split(","):
@@ -89,10 +99,7 @@ def _parse_box(text: str):
             raise ValidationError(
                 f"box side must look like name:lo:hi, got {chunk!r}"
             )
-        try:
-            sides[parts[0]] = (float(parts[1]), float(parts[2]))
-        except ValueError as exc:
-            raise ValidationError(f"bad box side {chunk!r}: {exc}") from exc
+        sides[parts[0]] = (float(parts[1]), float(parts[2]))
     if set(sides) != {"omega", "delta"}:
         raise ValidationError(
             f"box must give omega and delta ranges, got {sorted(sides)}"
@@ -120,7 +127,7 @@ def build_parser() -> _Parser:
                         metavar="name:start:stop:count")
     p_scan.add_argument("--axis2", type=_parse_axis, default=None,
                         metavar="name:start:stop:count")
-    p_scan.add_argument("--theta", type=parse_angle, default=0.0,
+    p_scan.add_argument("--theta", type=_flag_type(parse_angle), default=0.0,
                         help="quadrature phase for the s_theta metric")
 
     p_fig = sub.add_parser("figure", parents=[parent],
@@ -211,7 +218,7 @@ def _cmd_optimize(args, params: AtomFieldParams) -> int:
     payload["inputs"] = params.inputs()
     _emit(args, payload)
     if not report.converged:
-        print("error: NoConvergence: optimizer hit its evaluation budget",
+        print("error: NoConvergence: optimizer hit its iteration cap",
               file=sys.stderr)
         return 2
     return 0

@@ -51,10 +51,6 @@ class NoPureStateError(NumericalError):
         self.sigma_max = sigma_max
 
 
-class NoRootError(NumericalError):
-    """Bisection bracket contains no sign change."""
-
-
 class CertificationFailedError(NumericalError):
     """The photon-number certification found an offending grid point."""
 

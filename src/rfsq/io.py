@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,20 +14,22 @@ from .errors import ValidationError
 
 CSV_MAGIC = "# rfsq-csv v1"
 
-_ANGLE_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\s*(pi)?\s*$")
+_ANGLE_RE = re.compile(
+    r"^\s*([+-]?)((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\s*(pi)?\s*$")
 
 
 def parse_angle(text: str) -> float:
     """Parse an angle given in radians or as a multiple of pi.
 
-    Accepts plain floats ('0.785'), 'pi', and scaled forms like '0.5pi'
-    or '-2pi'.
+    Accepts plain floats ('0.785'), 'pi' with an optional sign, and
+    scaled forms like '0.5pi' or '-2pi'.
     """
     match = _ANGLE_RE.match(str(text))
-    if not match or (match.group(1) is None and match.group(2) is None):
+    if not match or (match.group(2) is None and match.group(3) is None):
         raise ValidationError(f"cannot parse angle {text!r}")
-    value = float(match.group(1)) if match.group(1) is not None else 1.0
-    if match.group(2):
+    sign, number, pi = match.groups()
+    value = float(sign + (number or "1"))
+    if pi:
         value *= math.pi
     return value
 
@@ -66,8 +69,19 @@ def read_csv(path) -> dict[str, np.ndarray]:
         if magic != CSV_MAGIC:
             raise ValidationError(f"{path} is not a {CSV_MAGIC!r} file")
         names = fh.readline().rstrip("\n").split(",")
-        rows = [line.split(",") for line in fh if line.strip()]
-    data = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
+        try:
+            with warnings.catch_warnings():
+                # a header without rows is a valid, empty dataset
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    if data.size == 0:
+        data = np.empty((0, len(names)))
+    if data.shape[1] != len(names):
+        raise ValidationError(
+            f"{path}: rows have {data.shape[1]} columns, header has {len(names)}")
     return {name: data[:, k] for k, name in enumerate(names)}
 
 

@@ -1,10 +1,11 @@
-"""Locating squeezing optima: box minimisation and crossover finding.
+"""Locating squeezing optima: box minimisation, the crossover and certification.
 
-The objective everywhere is the optimal-quadrature variance of the
-steady state, a smooth function of the drive (omega, delta). Minima are
-located by a coarse grid seed followed by Nelder-Mead refinement with
-the standard simplex coefficients (reflection 1, expansion 2,
-contraction 0.5, shrink 0.5). All routines work in gamma = 1 units.
+The objective is the optimal-quadrature variance S_opt of the steady
+state over the drive (omega, delta). At fixed delta its optimum over
+omega, and that of the purity Sigma, are closed forms (``drive_optima``),
+so a box minimisation is a one-dimensional search over delta: a coarse
+grid of detunings refined by golden-section search. The amplification
+crossover is analytic. All routines work in gamma = 1 units.
 """
 
 from __future__ import annotations
@@ -13,16 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect, minimize
 
 from .bloch import steady_state_grid
-from .errors import CertificationFailedError, NoRootError, ValidationError
-from .metrics import (
-    input_vacuum_variance,
-    optimal_phase_analytic,
-    pure_state_variance,
-)
-from .params import AtomFieldParams
+from .errors import CertificationFailedError, ValidationError
+from .metrics import optimal_phase_analytic
+from .params import AtomFieldParams, decay_rates
 
 #: hard floor of the variance in this normalisation
 VARIANCE_BOUND = -0.25
@@ -86,9 +82,34 @@ def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-10,
     return x, f(x)
 
 
-def _optimal_variance_grid(n_sq, phi, omega, delta, eta=1.0):
-    sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
-    return 1.0 + sz - sx * sx - sy * sy
+def drive_optima(n_sq, eta, phi, delta):
+    """Closed-form optima over the drive strength at fixed delta (gamma = 1).
+
+    With L = q + delta^2, R = (delta + M sin Phi)^2 + gamma_x^2 and
+    D = gamma_z L + omega^2 gamma_x, the steady state has
+    Sigma = (omega^2 R + L^2)/D^2 and S_opt = 1 - L/D - omega^2 R/D^2;
+    the derivative of either in w = omega^2 has a numerator linear in w,
+    so each has one extremum. Returns (w_min, s_min, w_pure, sigma_max):
+    S_opt is least at w_min and Sigma greatest at w_pure. A negative w
+    puts the optimum at omega = 0, where the values do not apply.
+    Polymorphic over scalars and broadcastable arrays. Past |delta| ~ 1e154
+    L and R overflow and the results are NaN.
+    """
+    m, q, gx, _, gz = decay_rates(1.0, n_sq, eta, phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lorentz = q + delta * delta
+        u = delta + m * np.sin(phi)
+        r = u * u + gx * gx
+        gl = gx * lorentz
+        w_min = gz * lorentz * (r - gl) / (gx * (gl + r))
+        s_min = 1.0 - (gl + r) ** 2 / (4.0 * gl * gz * r)
+        w_pure = lorentz * (gz * r - 2.0 * gl) / (gx * r)
+        sigma_max = r * r / (4.0 * gl * (gz * r - gl))
+    return w_min, s_min, w_pure, sigma_max
+
+
+#: iteration cap of the golden-section refinement over delta
+GOLDEN_MAX_ITER = 200
 
 
 def minimize_variance(
@@ -97,68 +118,58 @@ def minimize_variance(
     bounds: tuple[tuple[float, float], tuple[float, float]],
     eta: float = 1.0,
     coarse: int = 64,
-    max_evals: int = 10_000,
 ) -> OptimumReport:
     """Minimise the optimal-quadrature variance over an (omega, delta) box.
 
-    Seeds Nelder-Mead from the best node of a coarse x coarse grid (ties
-    broken toward low delta, then low omega). A box side of zero width
-    freezes that coordinate. The reported theta is the analytic optimal
-    phase at the located minimum.
+    At each delta the drive is the optimum of ``drive_optima`` clipped
+    into the box, so only delta is searched: the best of ``coarse`` nodes
+    (ties broken toward low delta) is refined by golden-section search
+    between its neighbours, and kept if the refinement finds nothing
+    lower. A box side of zero width freezes that coordinate. ``n_evals``
+    counts objective evaluations; ``converged`` is False when the
+    refinement stops on its iteration cap. The reported theta is the
+    analytic optimal phase at the located minimum.
     """
     (w_lo, w_hi), (d_lo, d_hi) = bounds
     if w_lo > w_hi or d_lo > d_hi or w_lo < 0.0:
         raise ValidationError(f"invalid search box {bounds!r}")
+    n_evals = 0
 
-    ws = np.linspace(w_lo, w_hi, 1 if w_lo == w_hi else coarse)
+    def profile(delta):
+        nonlocal n_evals
+        n_evals += np.size(delta)
+        w_min = drive_optima(n_sq, eta, phi, delta)[0]
+        # fmax maps an overflowed (NaN) optimum to omega = w_lo
+        omega = np.clip(np.sqrt(np.fmax(w_min, 0.0)), w_lo, w_hi)
+        sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
+        return omega, 1.0 + sz - sx * sx - sy * sy
+
     ds = np.linspace(d_lo, d_hi, 1 if d_lo == d_hi else coarse)
-    # delta as the outer axis so argmin's first hit breaks ties as documented
-    vals = _optimal_variance_grid(n_sq, phi, ws[None, :], ds[:, None], eta)
-    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    n_evals = vals.size
-    x0 = np.array([ws[j], ds[i]])
+    omegas, vals = profile(ds)
+    i = int(np.argmin(vals))
+    omega, delta, value = float(omegas[i]), float(ds[i]), float(vals[i])
+    converged = True
+    if ds.size > 1:
+        # relative to the box's scale, so that a bracket far from zero can
+        # still narrow to the tolerance in floating point
+        xtol = 1e-10 * max(1.0, abs(d_lo), abs(d_hi))
+        x, neg = golden_section_max(
+            lambda d: -float(profile(d)[1]), ds[max(i - 1, 0)],
+            ds[min(i + 1, ds.size - 1)], xtol=xtol, max_iter=GOLDEN_MAX_ITER)
+        # golden section evaluates twice to start, once per iteration and
+        # once at the end
+        converged = n_evals - ds.size < GOLDEN_MAX_ITER + 3
+        if -neg < value:
+            delta, value = x, -neg
+            omega = float(profile(x)[0])
 
-    free = [k for k, (lo, hi) in enumerate(((w_lo, w_hi), (d_lo, d_hi))) if lo < hi]
-
-    def objective(x_free):
-        point = x0.copy()
-        for slot, value in zip(free, x_free):
-            point[slot] = value
-        return float(_optimal_variance_grid(n_sq, phi, point[0], point[1], eta))
-
-    if free:
-        box = [((w_lo, w_hi), (d_lo, d_hi))[k] for k in free]
-        result = minimize(
-            objective,
-            x0[free],
-            method="Nelder-Mead",
-            bounds=box,
-            options={
-                "xatol": 1e-8,
-                "fatol": 1e-12,
-                "maxfev": max_evals,
-                "adaptive": False,
-            },
-        )
-        n_evals += result.nfev
-        best = x0.copy()
-        for slot, value in zip(free, result.x):
-            best[slot] = value
-        value = float(result.fun)
-        converged = bool(result.success)
-    else:
-        best = x0
-        value = float(vals[i, j])
-        converged = True
-
-    params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=phi,
-                             omega=float(best[0]), delta=float(best[1]))
+    params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=phi, omega=omega, delta=delta)
     return OptimumReport(
-        omega=float(best[0]),
-        delta=float(best[1]),
+        omega=omega,
+        delta=delta,
         theta=optimal_phase_analytic(params),
         value=value,
-        n_evals=int(n_evals),
+        n_evals=n_evals,
         converged=converged,
     )
 
@@ -166,23 +177,13 @@ def minimize_variance(
 def find_crossover(eta: float = 1.0) -> float:
     """Photon number where fluorescence squeezing stops beating the input.
 
-    Root of pure_state_variance(N) - input_vacuum_variance(N) on
-    [0.1, 1.5], located by bisection; the analytic root solves
-    N + M = 3/2, i.e. N* = 9/16.
+    The root of pure_state_variance(N) - input_vacuum_variance(N). For
+    the ideal reservoir the equation reduces to N + M = 3/2, with
+    M = sqrt(N(N+1)), whose root is N* = 9/16.
     """
     if eta != 1.0:
         raise ValidationError("crossover is defined for the ideal reservoir (eta = 1)")
-
-    def gap(n):
-        return pure_state_variance(n, eta) - input_vacuum_variance(n, eta)
-
-    lo, hi = 0.1, 1.5
-    if gap(lo) * gap(hi) > 0.0:
-        raise NoRootError(f"no sign change of the squeezing gap on [{lo}, {hi}]")
-    n_star = bisect(gap, lo, hi, xtol=1e-14, maxiter=200)
-    if abs(gap(n_star)) > 1e-12:
-        raise NoRootError(f"bisection stalled with |gap| = {abs(gap(n_star)):.3e}")
-    return float(n_star)
+    return 9.0 / 16.0
 
 
 @dataclass(frozen=True)

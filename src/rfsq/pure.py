@@ -5,8 +5,8 @@ the damped, driven atom becomes fully polarised (Sigma = 1). Closed
 forms exist for Phi = 0, pi/2 and (asymptotically) pi, and a full
 analytic family at N = 1/8 realises Sigma = 1 together with <sz> = -1/2,
 the combination that saturates the -0.25 variance floor. Away from the
-closed forms, purity is located numerically by maximising Sigma over the
-drive strength.
+closed forms, the drive strength that maximises Sigma at a fixed detuning
+is itself a closed form (``optimize.drive_optima``).
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .bloch import steady_state, steady_state_grid
 from .errors import (
@@ -26,8 +24,8 @@ from .errors import (
     ValidationError,
 )
 from .metrics import sphere_angles
-from .optimize import golden_section_max
-from .params import AtomFieldParams, derive_rates
+from .optimize import drive_optima
+from .params import AtomFieldParams, decay_rates, derive_rates
 
 #: photon number of the maximal-squeezing family
 N_MAXIMAL = 0.125
@@ -62,9 +60,14 @@ def _require_photons(n_sq: float):
         raise ValidationError(f"n_sq must be positive, got {n_sq}")
 
 
-def _achieved(phi, n_sq, eta, omega, delta) -> float:
+def _solution(phi, n_sq, eta, omega, delta, alpha, exact=True, theta_0=None):
+    """A working point with its sphere colatitude and the purity it reaches."""
     params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=phi, omega=omega, delta=delta)
-    return steady_state(params).sigma
+    return PureStateSolution(
+        phi=phi, n_sq=n_sq, delta=delta, omega=omega, alpha=alpha,
+        beta=sphere_angles(params)[1], sigma_achieved=steady_state(params).sigma,
+        exact=exact, theta_0=theta_0,
+    )
 
 
 def condition_phi0(n_sq: float, eta: float = 1.0) -> PureStateSolution:
@@ -72,39 +75,16 @@ def condition_phi0(n_sq: float, eta: float = 1.0) -> PureStateSolution:
     _require_photons(n_sq)
     m = derive_rates(AtomFieldParams(n_sq=n_sq, eta=eta)).m_corr
     omega = math.sqrt(m) / (math.sqrt(n_sq + 1.0) + math.sqrt(n_sq))
-    params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=0.0, omega=omega, delta=0.0)
-    _, beta = sphere_angles(params)
-    return PureStateSolution(
-        phi=0.0,
-        n_sq=n_sq,
-        delta=0.0,
-        omega=omega,
-        alpha=math.pi / 2.0,
-        beta=beta,
-        sigma_achieved=_achieved(0.0, n_sq, eta, omega, 0.0),
-        exact=True,
-    )
+    return _solution(0.0, n_sq, eta, omega, 0.0, alpha=math.pi / 2.0)
 
 
 def condition_phi_half_pi(n_sq: float, eta: float = 1.0) -> PureStateSolution:
     """Pure state at Phi = pi/2: delta = Gamma - gM, omega = sqrt(2M)/(sqrt(N+1)+sqrt(N))."""
     _require_photons(n_sq)
-    m = derive_rates(AtomFieldParams(n_sq=n_sq, eta=eta)).m_corr
-    delta = (n_sq + 0.5) - m
+    m, q, *_ = decay_rates(1.0, n_sq, eta, 0.0)
+    delta = float(q / (n_sq + 0.5 + m))  # Gamma - gM without cancellation
     omega = math.sqrt(2.0 * m) / (math.sqrt(n_sq + 1.0) + math.sqrt(n_sq))
-    params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=math.pi / 2.0,
-                             omega=omega, delta=delta)
-    _, beta = sphere_angles(params)
-    return PureStateSolution(
-        phi=math.pi / 2.0,
-        n_sq=n_sq,
-        delta=delta,
-        omega=omega,
-        alpha=math.pi / 4.0,
-        beta=beta,
-        sigma_achieved=_achieved(math.pi / 2.0, n_sq, eta, omega, delta),
-        exact=True,
-    )
+    return _solution(math.pi / 2.0, n_sq, eta, omega, delta, alpha=math.pi / 4.0)
 
 
 def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0) -> PureStateSolution:
@@ -117,8 +97,8 @@ def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0) -> PureStateSo
     _require_photons(n_sq)
     if delta <= 0.0:
         raise ValidationError(f"delta must be positive, got {delta}")
-    m = derive_rates(AtomFieldParams(n_sq=n_sq, eta=eta)).m_corr
-    margin = (n_sq + 0.5) - m
+    m, q, *_ = decay_rates(1.0, n_sq, eta, 0.0)
+    margin = q / (n_sq + 0.5 + m)  # Gamma - gM without cancellation
     if delta < 10.0 * margin:
         warnings.warn(
             f"delta = {delta:g} is below 10 * (Gamma - gM) = {10.0 * margin:g}; "
@@ -127,19 +107,7 @@ def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0) -> PureStateSo
             stacklevel=2,
         )
     omega = 2.0 * delta * math.sqrt(m) / (math.sqrt(n_sq + 1.0) - math.sqrt(n_sq))
-    params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=math.pi,
-                             omega=omega, delta=delta)
-    _, beta = sphere_angles(params)
-    return PureStateSolution(
-        phi=math.pi,
-        n_sq=n_sq,
-        delta=delta,
-        omega=omega,
-        alpha=0.0,
-        beta=beta,
-        sigma_achieved=_achieved(math.pi, n_sq, eta, omega, delta),
-        exact=False,
-    )
+    return _solution(math.pi, n_sq, eta, omega, delta, alpha=0.0, exact=False)
 
 
 def maximal_family(phi: float, eta: float = 1.0) -> PureStateSolution:
@@ -165,19 +133,8 @@ def maximal_family(phi: float, eta: float = 1.0) -> PureStateSolution:
     delta = t / 4.0
     omega = 0.25 * math.sqrt(3.0 * (1.0 + t * t))
     theta_0 = math.atan2(1.0, t)
-    params = AtomFieldParams(n_sq=N_MAXIMAL, phi=phi, omega=omega, delta=delta)
-    _, beta = sphere_angles(params)
-    return PureStateSolution(
-        phi=phi,
-        n_sq=N_MAXIMAL,
-        delta=delta,
-        omega=omega,
-        alpha=theta_0,
-        beta=beta,
-        sigma_achieved=_achieved(phi, N_MAXIMAL, eta, omega, delta),
-        exact=True,
-        theta_0=theta_0,
-    )
+    return _solution(phi, N_MAXIMAL, eta, omega, delta, alpha=theta_0,
+                     theta_0=theta_0)
 
 
 def sz_plus_half(params: AtomFieldParams) -> float:
@@ -214,33 +171,23 @@ def find_pure_curve(
 ) -> tuple[float, float]:
     """Drive strength maximising purity on a fixed (phi, N, delta) slice.
 
-    Coarse-scans Sigma over 256 drive strengths in (0, max(10, 4 delta)],
-    then refines the bracketed peak by golden-section search. Returns
-    (omega, sigma_max); raises NoPureStateError when the slice never
-    comes within 1e-4 of purity. Points with sigma_max >= 1 - 1e-7 count
-    as pure.
+    omega = sqrt(w_pure) from the closed form of ``drive_optima``, or 0
+    when w_pure is negative; Sigma is evaluated there with the
+    steady-state kernel. Returns (omega, sigma_max); raises
+    NoPureStateError when the slice never comes within 1e-4 of purity.
+    Points with sigma_max >= 1 - 1e-7 count as pure.
     """
     _require_photons(n_sq)
-    omega_hi = max(10.0, 4.0 * delta)
-    omegas = np.linspace(omega_hi / 256.0, omega_hi, 256)
-
-    def sigma_of(omega):
-        sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
-        return sx * sx + sy * sy + sz * sz
-
-    coarse = sigma_of(omegas)
-    k = int(np.argmax(coarse))
-    lo = omegas[max(k - 1, 0)]
-    hi = omegas[min(k + 1, len(omegas) - 1)]
-    omega_best, sigma_best = golden_section_max(
-        lambda w: float(sigma_of(w)), float(lo), float(hi), xtol=1e-10
-    )
-    if sigma_best < 1.0 - 1e-4:
+    w_pure = drive_optima(n_sq, eta, phi, delta)[2]
+    omega = math.sqrt(w_pure) if w_pure > 0.0 else 0.0  # also when NaN
+    sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
+    sigma = float(sx * sx + sy * sy + sz * sz)
+    if sigma < 1.0 - 1e-4:
         raise NoPureStateError(
-            f"no pure state on this slice; best Sigma = {sigma_best:.6f}",
-            sigma_max=float(sigma_best),
+            f"no pure state on this slice; best Sigma = {sigma:.6f}",
+            sigma_max=sigma,
         )
-    return float(omega_best), float(sigma_best)
+    return omega, sigma
 
 
 def is_pure_point(sigma: float) -> bool:

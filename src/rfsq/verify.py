@@ -14,7 +14,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .bloch import (
     build_system,
@@ -33,7 +32,7 @@ from .metrics import (
     pure_state_variance,
     variance_theta,
 )
-from .optimize import certify_n_eighth, find_crossover
+from .optimize import certify_n_eighth, find_crossover, golden_section_max
 from .params import AtomFieldParams, derive_rates
 from .pure import maximal_family, sz_plus_half
 from .scan import AxisSpec, ScanSpec, scan
@@ -53,9 +52,8 @@ def _min_over_omega(n_sq, phi, delta, variance_of_state, lo=5.0, hi=40.0):
         params = AtomFieldParams(n_sq=n_sq, phi=phi, omega=omega, delta=delta)
         return variance_of_state(steady_state(params))
 
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    return float(res.x), float(res.fun)
+    omega, neg = golden_section_max(lambda w: -f(w), lo, hi, xtol=1e-10)
+    return float(omega), -float(neg)
 
 
 def check_maximal_family(seed=42, fast=False):
@@ -130,8 +128,10 @@ def check_input_benchmark_degree(seed=42, fast=False):
 def check_amplification_crossover(seed=42, fast=False):
     """Output beats input for N below the crossover at N* = 0.5625."""
     n_star = find_crossover()
-    if abs(n_star - 0.5625) > 1e-3:
-        return False, f"crossover at {n_star:.6f}, expected 0.5625 +- 1e-3"
+    gap_star = pure_state_variance(n_star) - input_vacuum_variance(n_star)
+    if abs(n_star - 0.5625) > 1e-3 or abs(gap_star) > 1e-12:
+        return False, (f"crossover at {n_star:.6f} with gap {gap_star:.3e}, "
+                       "expected 0.5625 +- 1e-3 and |gap| <= 1e-12")
     count = 40 if fast else 200
     ns = np.linspace(0.011, 0.549, count)
     gaps = np.array([pure_state_variance(n) - input_vacuum_variance(n) for n in ns])

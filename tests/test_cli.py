@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import rfsq.optimize
 
 from rfsq.cli import main
 from rfsq.io import read_csv
@@ -135,6 +141,15 @@ def test_optimize_command(capsys):
     assert payload["converged"]
 
 
+def test_optimize_exits_two_on_the_iteration_cap(capsys, monkeypatch):
+    monkeypatch.setattr(rfsq.optimize, "GOLDEN_MAX_ITER", 5)
+    code, out, err = run(capsys, "optimize", "--n", "0.125", "--phi", "0.5pi",
+                         "--box", "omega:0:3,delta:0:2")
+    assert code == 2
+    assert json.loads(out)["converged"] is False
+    assert err.startswith("error: NoConvergence:")
+
+
 def test_pure_closed_form_dispatch(capsys):
     code, out, _ = run(capsys, "pure", "--n", "0.125", "--phi", "0.5pi")
     assert code == 0
@@ -176,7 +191,7 @@ def test_pure_solver_failure_is_numerical(capsys):
 def test_crossover_command(capsys):
     code, out, _ = run(capsys, "crossover")
     assert code == 0
-    assert json.loads(out)["n_star"] == pytest.approx(0.5625, abs=1e-6)
+    assert json.loads(out)["n_star"] == 0.5625
 
 
 def test_validation_exit_codes(capsys):
@@ -189,6 +204,54 @@ def test_validation_exit_codes(capsys):
     assert code == 1
     code, _, err = run(capsys, "scan", "--metric", "s_x", "--axis1", "omega:0:1")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("steady", "--phi=1.2.3pi"),
+     "argument --phi: cannot parse angle '1.2.3pi'"),
+    (("scan", "--metric", "s_x", "--axis1", "omega:0:1:1"),
+     "argument --axis1: axis omega count must lie in [2, 4096]"),
+    (("optimize", "--box", "omega:0:1,delta:0:x"),
+     "argument --box: could not convert string to float: 'x'"),
+])
+def test_converter_errors_keep_their_message(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: Validation: " + message)
+    assert err.count("\n") == 1
+    assert "invalid" not in err and "parse_" not in err
+
+
+def test_signed_pi_flags(capsys):
+    code, out, _ = run(capsys, "steady", "--phi=-pi")
+    assert code == 0
+    assert json.loads(out)["inputs"]["phi"] == -math.pi
+    code, out, _ = run(capsys, "scan", "--metric", "s_x",
+                       "--axis1", "phi:-pi:+pi:3", "--omega", "1")
+    assert code == 0
+    rows = out.strip().splitlines()[2:]
+    assert [float(row.split(",")[0]) for row in rows] == [-math.pi, 0.0, math.pi]
+
+
+def test_commands_do_not_import_scipy():
+    script = (
+        "import sys\n"
+        "from rfsq.cli import main\n"
+        "runs = [['report', '--n', '0.2', '--omega', '1'],\n"
+        "        ['optimize', '--n', '0.125', '--phi', '0.5pi',\n"
+        "         '--box', 'omega:0:3,delta:0:2'],\n"
+        "        ['pure', '--n', '0.125', '--phi', '0.5pi', '--delta', '0.25',\n"
+        "         '--solve-omega'],\n"
+        "        ['crossover'], ['verify', '--fast']]\n"
+        "codes = [main(argv) for argv in runs]\n"
+        "assert codes == [0] * len(runs), codes\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    src = Path(rfsq.optimize.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_overflowing_report_fails_cleanly(capsys):

@@ -20,11 +20,13 @@ class TestParseAngle:
         ("0.5pi", math.pi / 2.0),
         ("-0.25pi", -math.pi / 4.0),
         ("2pi", 2.0 * math.pi),
+        ("-pi", -math.pi),
+        ("+pi", math.pi),
     ])
     def test_accepted_forms(self, text, expected):
         assert parse_angle(text) == pytest.approx(expected, abs=1e-15)
 
-    @pytest.mark.parametrize("text", ["", "pi2", "abc", "1.2.3pi", "pipi"])
+    @pytest.mark.parametrize("text", ["", "pi2", "abc", "1.2.3pi", "pipi", "-", "+-pi"])
     def test_rejected_forms(self, text):
         with pytest.raises(ValidationError):
             parse_angle(text)
@@ -42,6 +44,30 @@ class TestCsv:
         assert list(back) == ["a", "b"]
         assert np.array_equal(back["a"], columns["a"])
         assert np.array_equal(back["b"], columns["b"])
+
+    def test_extreme_values_round_trip_bit_for_bit(self, tmp_path):
+        values = np.array([-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+                           1e-300, 1.7976931348623157e308,
+                           -1.7976931348623157e308, 1.0 / 3.0])
+        path = write_csv(tmp_path / "x.csv", {"v": values, "w": values[::-1]})
+        back = read_csv(path)
+        assert np.array_equal(back["v"].view(np.uint64), values.view(np.uint64))
+        assert np.array_equal(back["w"].view(np.uint64),
+                              values[::-1].view(np.uint64))
+
+    def test_header_without_rows_is_empty(self, tmp_path, recwarn):
+        path = write_csv(tmp_path / "x.csv", {"a": [], "b": []})
+        back = read_csv(path)
+        assert list(back) == ["a", "b"]
+        assert back["a"].shape == (0,) and back["b"].shape == (0,)
+        assert len(recwarn) == 0
+
+    @pytest.mark.parametrize("body", ["1,2\n3\n", "1\n3\n", "1,x\n"])
+    def test_malformed_rows_are_rejected(self, tmp_path, body):
+        path = tmp_path / "x.csv"
+        path.write_text("# rfsq-csv v1\na,b\n" + body)
+        with pytest.raises(ValidationError):
+            read_csv(path)
 
     def test_seventeen_digit_floats_round_trip(self):
         for v in (1.0 / 3.0, -0.25, 1e-300, math.pi):

@@ -1,4 +1,4 @@
-"""Optimum location, crossover bisection, and the search helpers."""
+"""Optimum location, closed-form drive optima, the crossover, and search helpers."""
 
 import math
 
@@ -13,10 +13,16 @@ from rfsq import (
     golden_section_max,
     input_vacuum_variance,
     minimize_variance,
+    optimal_variance,
     pure_state_variance,
     scan,
+    steady_state,
+    variance_theta,
 )
+from rfsq.bloch import steady_state_grid
 from rfsq.errors import ValidationError
+from rfsq.optimize import drive_optima
+from rfsq.verify import _min_over_omega
 
 BOX = ((0.0, 3.0), (0.0, 2.0))
 
@@ -66,10 +72,116 @@ class TestMinimizeVariance:
         with pytest.raises(ValidationError):
             minimize_variance(0.125, 0.0, ((1.0, 0.0), (0.0, 1.0)))
 
+    def test_frozen_box_is_one_evaluation(self):
+        report = minimize_variance(0.2, 1.0, ((0.5, 0.5), (0.3, 0.3)))
+        assert (report.omega, report.delta, report.n_evals) == (0.5, 0.3, 1)
+        assert report.converged
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the kernel's
+    def test_overflowing_detuning_stays_finite(self):
+        # L = q + delta^2 overflows: the drive falls back to the box's low side
+        report = minimize_variance(0.2, 0.0, ((0.0, 1.0), (-1e200, 1e200)))
+        assert report.omega == 0.0
+        assert report.value == pytest.approx(1.0 - 1.0 / 1.4, rel=1e-15)
+
+    def test_far_detuned_box_converges(self):
+        report = minimize_variance(0.125, math.pi, ((0.0, 3e6), (1e6, 1e6 + 10.0)))
+        assert report.converged
+
+
+def _variance(n_sq, eta, phi, omega, delta):
+    sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
+    return 1.0 + sz - sx * sx - sy * sy
+
+
+def _nelder_mead_minimum(n_sq, phi, bounds, eta):
+    """The former box search: a 64 x 64 grid seed refined by Nelder-Mead."""
+    optimize = pytest.importorskip("scipy.optimize")
+    (w_lo, w_hi), (d_lo, d_hi) = bounds
+    ws = np.linspace(w_lo, w_hi, 1 if w_lo == w_hi else 64)
+    ds = np.linspace(d_lo, d_hi, 1 if d_lo == d_hi else 64)
+    vals = _variance(n_sq, eta, phi, ws[None, :], ds[:, None])
+    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    x0 = np.array([ws[j], ds[i]])
+    free = [k for k, (lo, hi) in enumerate(bounds) if lo < hi]
+    if not free:
+        return float(vals[i, j])
+
+    def objective(x_free):
+        point = x0.copy()
+        point[free] = x_free
+        return float(_variance(n_sq, eta, phi, point[0], point[1]))
+
+    result = optimize.minimize(
+        objective, x0[free], method="Nelder-Mead",
+        bounds=[bounds[k] for k in free],
+        options={"xatol": 1e-8, "fatol": 1e-12, "maxfev": 10_000,
+                 "adaptive": False},
+    )
+    return float(result.fun)
+
+
+def test_never_worse_than_nelder_mead():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(2024)
+    worst = -np.inf
+    for k in range(200):
+        n_sq = rng.uniform(0.005, 3.0)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        eta = 1.0 if k % 2 else rng.uniform(0.0, 1.0)
+        w_lo = 0.0 if k % 3 else rng.uniform(0.0, 2.0)   # some boxes clip omega
+        w_hi = w_lo if k % 7 == 0 else w_lo + rng.uniform(0.1, 5.0)
+        d_lo = rng.uniform(-3.0, 1.0)
+        d_hi = d_lo if k % 5 == 0 else d_lo + rng.uniform(0.1, 4.0)
+        bounds = ((w_lo, w_hi), (d_lo, d_hi))
+        report = minimize_variance(n_sq, phi, bounds, eta=eta)
+        assert report.converged
+        worst = max(worst, report.value - _nelder_mead_minimum(n_sq, phi, bounds, eta))
+    assert worst <= 1e-12
+
+
+def test_closed_form_optima_match_the_kernel():
+    rng = np.random.default_rng(11)
+    n_sq = rng.uniform(0.005, 3.0, 400)
+    eta = np.where(np.arange(400) % 2, 1.0, rng.uniform(0.0, 1.0, 400))
+    phi = rng.uniform(0.0, 2.0 * math.pi, 400)
+    delta = rng.uniform(-5.0, 5.0, 400)
+    w_min, s_min, w_pure, sigma_max = drive_optima(n_sq, eta, phi, delta)
+    inner = w_min > 0.0
+    assert inner.sum() > 100
+    s_at = _variance(n_sq, eta, phi, np.sqrt(np.maximum(w_min, 0.0)), delta)
+    assert np.abs(s_at - s_min)[inner].max() <= 1e-14
+    inner = w_pure > 0.0
+    assert inner.sum() > 100
+    sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi,
+                                   np.sqrt(np.maximum(w_pure, 0.0)), delta)
+    assert np.abs(sx * sx + sy * sy + sz * sz - sigma_max)[inner].max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_sq,delta,variance_of_state", [
+    (0.125, 12.5, optimal_variance),
+    (0.125, 12.5, lambda state: variance_theta(state, 0.0)),
+    (0.1, 10.0, lambda state: variance_theta(state, 0.0)),
+])
+def test_verify_omega_search_matches_brent(n_sq, delta, variance_of_state):
+    optimize = pytest.importorskip("scipy.optimize")
+    omega, value = _min_over_omega(n_sq, math.pi, delta, variance_of_state)
+
+    def f(w):
+        params = AtomFieldParams(n_sq=n_sq, phi=math.pi, omega=w, delta=delta)
+        return variance_of_state(steady_state(params))
+
+    brent = optimize.minimize_scalar(f, bounds=(5.0, 40.0), method="bounded",
+                                     options={"xatol": 1e-10})
+    assert omega == pytest.approx(brent.x, abs=1e-6)
+    assert value == pytest.approx(brent.fun, abs=1e-13)
+
 
 class TestCrossover:
     def test_location(self):
-        assert find_crossover() == pytest.approx(0.5625, abs=1e-6)
+        assert find_crossover() == 9.0 / 16.0
+        gap = pure_state_variance(0.5625) - input_vacuum_variance(0.5625)
+        assert abs(gap) <= 1e-12
 
     def test_amplification_sign_structure(self):
         gap = lambda n: pure_state_variance(n) - input_vacuum_variance(n)

@@ -19,6 +19,7 @@ from rfsq import (
     sz_plus_half,
     variance_theta,
 )
+from rfsq.optimize import drive_optima
 from rfsq.errors import (
     AsymptoticConditionWarning,
     NoPureStateError,
@@ -70,6 +71,16 @@ class TestConditionQuarterPhase:
         sol = condition_phi_half_pi(1e-10)
         assert sol.delta == pytest.approx(0.5, abs=1e-4)
         assert sol.omega < 1e-2
+
+    @pytest.mark.parametrize("n_sq", [10.0, 1e3])
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_detuning_is_accurate_at_large_photon_number(self, n_sq, eta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            n = mpmath.mpf(n_sq)
+            exact = n + mpmath.mpf(1) / 2 - mpmath.mpf(eta) * mpmath.sqrt(n * (n + 1))
+            delta = condition_phi_half_pi(n_sq, eta=eta).delta
+            assert abs(delta - exact) <= 1e-15 * abs(exact)
 
 
 class TestConditionOpposedPhase:
@@ -193,6 +204,22 @@ class TestFindPureCurve:
         omega, sigma = find_pure_curve(0.0, 0.125, 0.0)
         assert omega == pytest.approx(math.sqrt(3.0) / 4.0, abs=1e-5)
         assert sigma >= 1.0 - 1e-7
+
+    def test_purity_optimum_reproduces_the_closed_form_drives(self):
+        sols = [condition_phi0(n) for n in (0.01, 0.125, 0.7, 3.0)]
+        sols += [condition_phi_half_pi(n) for n in (0.05, 0.125, 1.5, 10.0)]
+        sols += [maximal_family(float(phi))
+                 for phi in np.linspace(0.05, 2.0 * math.pi - 0.05, 25)
+                 if abs(phi - math.pi) > 1e-3]
+        for sol in sols:
+            w_pure = drive_optima(sol.n_sq, 1.0, sol.phi, sol.delta)[2]
+            assert math.sqrt(w_pure) == pytest.approx(sol.omega, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the kernel's
+    def test_overflowing_detuning_has_no_pure_state(self):
+        with pytest.raises(NoPureStateError) as err:
+            find_pure_curve(0.0, 0.2, 1e200)
+        assert math.isfinite(err.value.sigma_max)
 
     def test_detuned_resonant_phase_has_no_pure_state(self):
         with pytest.raises(NoPureStateError) as err:
