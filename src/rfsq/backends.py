@@ -14,8 +14,11 @@ Relaxation: one step of the classic fixed-step RK4 scheme applied to a
 constant-coefficient linear system is the affine map ``s -> E s + c``
 with ``E`` the degree-4 Taylor polynomial of ``expm(h A)``. Its fixed
 point is exactly the steady state, so relaxation accuracy is limited
-only by how long the map is iterated, never by the step size. The
-Python loop is amortised by pre-composing a 16-step block of the map.
+only by how long the map is iterated, never by the step size. The map
+and the relaxation loop work on a stack of P systems at once, each with
+its own step, stopping residual and step cap: one Python loop iterates
+every point that is still active, and a pre-composed 16-step block of
+each point's map amortises it further.
 """
 
 from __future__ import annotations
@@ -41,39 +44,75 @@ def steady_grid(gamma, n_sq, eta, phi, omega, delta):
     return sx, sy, sz
 
 
-def rk4_affine_map(a: np.ndarray, b: np.ndarray, h: float):
-    """One-step propagator (E, c) of classic RK4 for ds/dt = a s + b."""
+def _mv(m, v):
+    """Matrix-vector product over stacks: (..., 3, 3) @ (..., 3) -> (..., 3)."""
+    return (m @ v[..., None])[..., 0]
+
+
+def rk4_affine_map(a, b, h):
+    """One-step propagator (E, c) of classic RK4 for ds/dt = a s + b.
+
+    Works on one system (a (3, 3), b (3,), scalar h) or on a stack (a
+    (P, 3, 3), b (P, 3), h scalar or (P,)); E and c take the stack's shape.
+    """
+    h = np.asarray(h, dtype=float)
+    hm = h[..., None, None]
+    hv = h[..., None]
     eye = np.eye(3)
-    ha = h * a
+    ha = hm * a
     e = eye + ha @ (eye + (ha / 2.0) @ (eye + (ha / 3.0) @ (eye + ha / 4.0)))
     k1 = b
-    k2 = a @ ((h / 2.0) * k1) + b
-    k3 = a @ ((h / 2.0) * k2) + b
-    k4 = a @ (h * k3) + b
-    c = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = _mv(a, (hv / 2.0) * k1) + b
+    k3 = _mv(a, (hv / 2.0) * k2) + b
+    k4 = _mv(a, hv * k3) + b
+    c = (hv / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return e, c
 
 
 def relax(e, c, a, b, s0, stop_resid, max_steps, blow=10.0):
-    """Iterate the RK4 one-step map until the residual drops below target.
+    """Iterate P stacked RK4 one-step maps until each residual drops below target.
 
-    Returns (state, residual, steps). The residual is the max-norm of
-    ``a @ state + b``; a residual of inf flags the blow-up sentinel.
+    e, a are (P, 3, 3), c, b are (P, 3); s0 is (P, 3) or one (3,) start
+    for every point; stop_resid and max_steps are scalars or (P,). Each
+    point stops on its own, once its residual (the max-norm of
+    ``a @ state + b``) is at most its stop_resid or its step count reaches
+    max_steps; only the points still active are iterated. Returns
+    (states (P, 3), residuals (P,), steps (P,)); a residual of inf flags
+    a point whose state passed the blow-up sentinel.
     """
-    # pre-compose CHECK_STRIDE steps of the map: (E, c) -> (E^k, sum E^j c)
-    eb = e.copy()
-    cb = c.copy()
+    # pre-compose CHECK_STRIDE steps of each map: (E, c) -> (E^k, sum E^j c)
+    eb, cb = e, c
     strides = CHECK_STRIDE.bit_length() - 1  # CHECK_STRIDE is a power of two
     for _ in range(strides):
-        cb = eb @ cb + cb
+        cb = _mv(eb, cb) + cb
         eb = eb @ eb
-    s = np.asarray(s0, dtype=float).copy()
-    steps = 0
-    resid = np.abs(a @ s + b).max()
-    while resid > stop_resid and steps < max_steps:
-        s = eb @ s + cb
-        steps += CHECK_STRIDE
-        if np.abs(s).max() > blow:
-            return s, np.inf, steps
-        resid = np.abs(a @ s + b).max()
-    return s, resid, steps
+    count = len(eb)
+    states = np.array(np.broadcast_to(s0, (count, 3)), dtype=float)
+    stop = np.broadcast_to(np.asarray(stop_resid, dtype=float), (count,))
+    cap = np.broadcast_to(np.asarray(max_steps), (count,))
+    steps = np.zeros(count, dtype=np.int64)
+    resid = np.abs(_mv(a, states) + b).max(axis=-1)
+
+    # the active points, compacted whenever some finish; every one of them
+    # has taken the same number of steps
+    idx = np.flatnonzero((resid > stop) & (cap > 0))
+    ebw, cbw, aw, bw, sw = eb[idx], cb[idx], a[idx], b[idx], states[idx]
+    stopw, capw = stop[idx], cap[idx]
+    taken = 0
+    while idx.size:
+        sw = _mv(ebw, sw) + cbw
+        taken += CHECK_STRIDE
+        blown = np.abs(sw).max(axis=-1) > blow
+        rw = np.abs(_mv(aw, sw) + bw).max(axis=-1)
+        rw[blown] = np.inf
+        done = blown | ~(rw > stopw) | (taken >= capw)
+        if done.any():
+            fin = idx[done]
+            states[fin] = sw[done]
+            resid[fin] = rw[done]
+            steps[fin] = taken
+            keep = ~done
+            idx, ebw, cbw, aw, bw, sw = (
+                x[keep] for x in (idx, ebw, cbw, aw, bw, sw))
+            stopw, capw = stopw[keep], capw[keep]
+    return states, resid, steps

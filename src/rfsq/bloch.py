@@ -199,36 +199,53 @@ def relax_to_steady(
     Raises NoConvergenceError when 200 slow time constants pass without
     reaching the target (reports the residual).
     """
-    if tol <= 0.0:
+    start = None if s0 is None else s0.as_array()
+    return BlochState.from_array(relax_batch([params], start, tol)[0])
+
+
+def relax_batch(params_seq, s0=None, tol: float = 1e-10) -> np.ndarray:
+    """Relax many parameter points at once; returns their states as (P, 3).
+
+    Each point is relaxed exactly as ``relax_to_steady`` describes, with
+    its own step, stopping residual and time cap, from s0 (a (3,) or
+    (P, 3) array; the ground state by default) to tol (a scalar or one
+    per point). Raises StepTooLargeError or NoConvergenceError for the
+    first failing point, naming its index.
+    """
+    if np.any(np.asarray(tol) <= 0.0):
         raise ValidationError(f"tol must be positive, got {tol}")
     if s0 is None:
-        s0 = BlochState.ground()
-    system = build_system(params)
-    a = system.a_matrix
-    b = system.b_vector
-    a_norm = np.abs(a).sum(axis=1).max()
-    h = 0.25 / (a_norm + params.gamma)
-    ainv_norm = np.abs(np.linalg.inv(a)).sum(axis=1).max()
-    stop_resid = tol * min(params.gamma, 1.0 / ainv_norm)
+        s0 = BlochState.ground().as_array()
+    systems = [build_system(params) for params in params_seq]
+    a = np.stack([system.a_matrix for system in systems])
+    b = np.stack([system.b_vector for system in systems])
+    gamma = -b[:, 2]
+    a_norm = np.abs(a).sum(axis=-1).max(axis=-1)
+    h = 0.25 / (a_norm + gamma)
+    ainv_norm = np.abs(np.linalg.inv(a)).sum(axis=-1).max(axis=-1)
+    stop_resid = tol * np.minimum(gamma, 1.0 / ainv_norm)
 
     # time cap: 200 time constants of the slowest decaying mode, which can
     # be far slower than min(gamma_x, gamma_y, gamma_z) when the coherences
     # mix into slow/fast quadrature combinations
-    rates = derive_rates(params)
-    rho_slow = min(-spectral_abscissa(system),
-                   rates.gamma_x, rates.gamma_y, rates.gamma_z)
+    abscissa = np.linalg.eigvals(a).real.max(axis=-1)
+    rates = -np.diagonal(a, axis1=1, axis2=2)  # gamma_x, gamma_y, gamma_z
+    rho_slow = np.minimum(-abscissa, rates.min(axis=-1))
     t_cap = 200.0 / rho_slow
-    max_steps = int(math.ceil(t_cap / h))
+    max_steps = np.ceil(t_cap / h).astype(np.int64)
 
     e, c = backends.rk4_affine_map(a, b, h)
-    s, resid, _ = backends.relax(e, c, a, b, s0.as_array(),
-                                 stop_resid, max_steps, BLOW_LIMIT)
-    if not np.isfinite(resid):
-        raise StepTooLargeError("relaxation trajectory left the physical ball")
-    if resid > stop_resid:
+    states, resid, _ = backends.relax(e, c, a, b, s0, stop_resid, max_steps,
+                                      BLOW_LIMIT)
+    failed = np.flatnonzero(~(resid <= stop_resid))
+    if failed.size:
+        k = failed[0]
+        if not np.isfinite(resid[k]):
+            raise StepTooLargeError(
+                f"relaxation trajectory of point {k} left the physical ball")
         raise NoConvergenceError(
-            f"relaxation residual {resid:.3e} still above {stop_resid:.3e} "
-            f"after t = {t_cap:.3g}",
-            residual=float(resid),
+            f"relaxation residual {resid[k]:.3e} of point {k} still above "
+            f"{stop_resid[k]:.3e} after t = {t_cap[k]:.3g}",
+            residual=float(resid[k]),
         )
-    return BlochState.from_array(s)
+    return states

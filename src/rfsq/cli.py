@@ -4,14 +4,16 @@
 
 Angle-valued flags accept radians or multiples of pi ('0.5pi', 'pi').
 Exit codes: 0 success, 1 validation error, 2 numerical error, 3
-verification failure. Errors print a single line 'error: <kind>:
-<detail>' on stderr.
+verification failure, 141 stdout closed by its reader (as after a
+SIGPIPE). Errors print a single line 'error: <kind>: <detail>' on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -35,8 +37,31 @@ from .scan import AxisSpec, ScanSpec, scan
 from .verify import run_verify
 
 
+def _is_negative_number(token: str) -> bool:
+    """A minus sign followed by a float or an angle ('-1e3', '-inf', '-pi')."""
+    body = token[1:]
+    if not token.startswith("-") or not body or body[0] in "+-" or body[0].isspace():
+        return False
+    for convert in (float, parse_angle):
+        try:
+            convert(body)
+        except ValueError:
+            continue
+        return True
+    return False
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad flags as validation errors (exit 1)."""
+    """argparse that reports bad flags as validation errors (exit 1).
+
+    A flag's value may be any negative number that float or parse_angle
+    accepts: argparse's own pattern knows neither exponents nor 'pi', and
+    would take '--delta -1e3' or '--phi -pi' for a missing value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = argparse.Namespace(match=_is_negative_number)
 
     def error(self, message):
         raise ValidationError(message)
@@ -278,7 +303,14 @@ def main(argv=None) -> int:
             gamma=args.gamma, n_sq=args.n_sq, eta=args.eta,
             phi=args.phi, omega=args.omega, delta=args.delta,
         )
-        return _COMMANDS[args.command](args, params)
+        code = _COMMANDS[args.command](args, params)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`rfsq scan ... | head`): point
+        # stdout at devnull so that the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValidationError as exc:
         print(f"error: Validation: {exc}", file=sys.stderr)
         return 1

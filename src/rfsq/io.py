@@ -14,6 +14,9 @@ from .errors import ValidationError
 
 CSV_MAGIC = "# rfsq-csv v1"
 
+#: rows formatted per write by dump_csv
+CSV_BLOCK_ROWS = 65536
+
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\s*(pi)?\s*$")
 
@@ -48,8 +51,12 @@ def dump_csv(stream, columns: dict[str, np.ndarray]) -> None:
         raise ValidationError("all CSV columns must have equal length")
     stream.write(CSV_MAGIC + "\n")
     stream.write(",".join(names) + "\n")
-    for row in zip(*data):
-        stream.write(",".join(format_float(v) for v in row) + "\n")
+    # "%.17g" formats a float exactly as format_float does; one % call
+    # formats a whole block of rows
+    row = ",".join(["%.17g"] * len(data)) + "\n"
+    for lo in range(0, length, CSV_BLOCK_ROWS):
+        block = np.column_stack([col[lo:lo + CSV_BLOCK_ROWS] for col in data])
+        stream.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> Path:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rfsq import AtomFieldParams, steady_state
-from rfsq.backends import rk4_affine_map, steady_grid
+from rfsq.backends import relax, rk4_affine_map, steady_grid
 
 from steady_oracle import solve_steady
 
@@ -31,6 +31,7 @@ def test_closed_form_matches_oracle_over_extreme_domain():
 
 def test_rk4_map_equals_textbook_step():
     rng = np.random.default_rng(61)
+    cases = []
     for _ in range(20):
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal(3)
@@ -43,6 +44,27 @@ def test_rk4_map_equals_textbook_step():
         textbook = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         e, c = rk4_affine_map(a, b, h)
         assert np.allclose(e @ s + c, textbook, rtol=1e-13, atol=1e-14)
+        cases.append((a, b, s, h, textbook))
+    # a stack of (P, 3, 3) systems with one step each gives every point's map
+    a, b, s, h, textbook = (np.array(x) for x in zip(*cases))
+    e, c = rk4_affine_map(a, b, h)
+    assert e.shape == (20, 3, 3) and c.shape == (20, 3)
+    stacked = np.einsum("pij,pj->pi", e, s) + c
+    assert np.allclose(stacked, textbook, rtol=1e-13, atol=1e-14)
+
+
+def test_relax_stops_each_point_on_its_own():
+    # ds/dt = -s + (0, 0, -1); RK4 is unstable at h = 5, so only the middle
+    # point passes the blow-up sentinel, in its first 16-step block
+    a = np.array([-np.eye(3)] * 3)
+    b = np.array([[0.0, 0.0, -1.0]] * 3)
+    h = np.array([0.1, 5.0, 0.2])
+    e, c = rk4_affine_map(a, b, h)
+    states, resid, steps = relax(e, c, a, b, np.zeros(3), 1e-12, 10**6)
+    assert np.isinf(resid[1]) and steps[1] == 16
+    assert resid[[0, 2]].max() <= 1e-12
+    assert np.allclose(states[[0, 2]], [0.0, 0.0, -1.0], atol=1e-12)
+    assert steps[0] > steps[2] > 16  # the longer step converges sooner
 
 
 def test_closed_form_is_polymorphic():

@@ -14,13 +14,15 @@ from rfsq import (
     steady_state,
     steady_state_grid,
 )
-from rfsq.bloch import routh_hurwitz_margins
+from rfsq.backends import rk4_affine_map
+from rfsq.bloch import relax_batch, routh_hurwitz_margins
 from rfsq.errors import (
     NoConvergenceError,
     NumericalError,
     StepTooLargeError,
     ValidationError,
 )
+from rfsq.verify import _draw_params
 
 from steady_oracle import solve_steady
 
@@ -205,6 +207,62 @@ class TestRelax:
         with pytest.raises(NoConvergenceError) as err:
             relax_to_steady(AtomFieldParams(n_sq=0.3, omega=2.0), tol=1e-30)
         assert err.value.residual > 0.0
+
+
+def _serial_relax(params, tol):
+    """One point at a time, as relaxation ran before it was batched."""
+    system = build_system(params)
+    a, b = system.a_matrix, system.b_vector
+    a_norm = np.abs(a).sum(axis=1).max()
+    h = 0.25 / (a_norm + params.gamma)
+    ainv_norm = np.abs(np.linalg.inv(a)).sum(axis=1).max()
+    stop_resid = tol * min(params.gamma, 1.0 / ainv_norm)
+    rho_slow = min(-np.linalg.eigvals(a).real.max(), *(-np.diag(a)))
+    max_steps = int(math.ceil(200.0 / rho_slow / h))
+    eb, cb = rk4_affine_map(a, b, h)
+    for _ in range(4):  # 16 steps per residual check
+        cb = eb @ cb + cb
+        eb = eb @ eb
+    s = BlochState.ground().as_array()
+    steps = 0
+    resid = np.abs(a @ s + b).max()
+    while resid > stop_resid and steps < max_steps:
+        s = eb @ s + cb
+        steps += 16
+        assert np.abs(s).max() <= 10.0
+        resid = np.abs(a @ s + b).max()
+    assert resid <= stop_resid
+    return s
+
+
+class TestRelaxBatch:
+    def test_verify_draws_match_the_serial_loop(self):
+        rng = np.random.default_rng(42)
+        draws = [_draw_params(rng) for _ in range(1000)]
+        batched = relax_batch(draws, tol=1e-9)
+        assert batched.shape == (1000, 3)
+        for params, state in zip(draws, batched):
+            assert np.abs(state - _serial_relax(params, 1e-9)).max() <= 1e-14
+            assert np.abs(state - steady_state(params).as_array()).max() < 1e-7
+
+    def test_failing_point_is_named(self):
+        draws = [AtomFieldParams(n_sq=0.3, omega=w) for w in (0.5, 1.0, 2.0, 4.0)]
+        tol = np.array([1e-9, 1e-9, 1e-30, 1e-9])
+        with pytest.raises(NoConvergenceError, match="point 2 ") as err:
+            relax_batch(draws, tol=tol)
+        assert err.value.residual > 0.0
+
+    def test_single_point_from_arbitrary_start(self):
+        params = AtomFieldParams(n_sq=0.0, omega=0.0)
+        start = BlochState(1.0, 0.0, 0.0)
+        (state,) = relax_batch([params], start.as_array(), tol=1e-10)
+        assert np.allclose(state, [0.0, 0.0, -1.0], atol=1e-9)
+        single = relax_to_steady(params, start, tol=1e-10).as_array()
+        assert np.array_equal(state, single)
+
+    def test_tol_validation(self):
+        with pytest.raises(ValidationError):
+            relax_batch([AtomFieldParams()] * 2, tol=np.array([1e-9, 0.0]))
 
 
 def test_stability_certificate_over_random_sweep():

@@ -233,6 +233,41 @@ def test_signed_pi_flags(capsys):
     assert [float(row.split(",")[0]) for row in rows] == [-math.pi, 0.0, math.pi]
 
 
+@pytest.mark.parametrize("flag,value,expected", [
+    ("--delta", "-1e3", -1000.0),
+    ("--delta", "-inf", None),
+    ("--phi", "-pi", -math.pi),
+    ("--phi", "-0.5pi", -0.5 * math.pi),
+])
+def test_negative_values_as_a_separate_word(capsys, flag, value, expected):
+    two_words = run(capsys, "steady", "--omega", "1", flag, value)
+    with_equals = run(capsys, "steady", "--omega", "1", f"{flag}={value}")
+    assert two_words == with_equals
+    code, out, err = two_words
+    if expected is None:
+        assert code == 1
+        assert err == f"error: Validation: {flag[2:]} must be finite, got -inf\n"
+    else:
+        assert code == 0
+        assert json.loads(out)["inputs"][flag[2:]] == expected
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader takes one line and closes the pipe, as `| head -1` does
+    src = Path(rfsq.optimize.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rfsq.cli", "scan", "--metric", "s_x",
+         "--axis1", "omega:0:3:200", "--axis2", "delta:0:1:200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"# rfsq-csv v1\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err and err == ""
+
+
 def test_commands_do_not_import_scipy():
     script = (
         "import sys\n"

@@ -1,5 +1,6 @@
 """Figure datasets, CSV round trips, and angle parsing."""
 
+import io
 import json
 import math
 
@@ -8,7 +9,18 @@ import pytest
 
 from rfsq import AtomFieldParams, build_figure, emit_figure, full_report
 from rfsq.errors import ValidationError
-from rfsq.io import format_float, parse_angle, read_csv, write_csv
+from rfsq.io import (
+    CSV_MAGIC,
+    dump_csv,
+    format_float,
+    parse_angle,
+    read_csv,
+    write_csv,
+)
+
+#: values whose formatting has edge cases of its own
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, math.inf, -math.inf,
+                  math.nan, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
 class TestParseAngle:
@@ -72,6 +84,27 @@ class TestCsv:
     def test_seventeen_digit_floats_round_trip(self):
         for v in (1.0 / 3.0, -0.25, 1e-300, math.pi):
             assert float(format_float(v)) == v
+
+    @pytest.mark.parametrize("ncols", [1, 2, 4])
+    @pytest.mark.parametrize("length", [0, 1, 65_535, 65_536, 65_537, 200_000])
+    def test_block_writer_matches_row_at_a_time(self, length, ncols):
+        rng = np.random.default_rng(length + ncols)
+        columns = {}
+        for k in range(ncols):
+            col = rng.standard_normal(length) * 10.0 ** rng.uniform(-20, 20, length)
+            # the special values at the start and around each block boundary
+            for start in (0, 65_530, 131_066):
+                stop = min(start + len(SPECIAL_VALUES), length)
+                if start < stop:
+                    col[start:stop] = np.roll(SPECIAL_VALUES, k)[:stop - start]
+            columns[f"c{k}"] = col
+        lines = [CSV_MAGIC, ",".join(columns)]
+        for row in zip(*(col.tolist() for col in columns.values())):
+            lines.append(",".join(format_float(v) for v in row))
+        expected = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        dump_csv(buf, columns)
+        assert buf.getvalue() == expected
 
     def test_magic_line_is_checked(self, tmp_path):
         path = tmp_path / "x.csv"
