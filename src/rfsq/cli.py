@@ -5,8 +5,10 @@
 Angle-valued flags accept radians or multiples of pi ('0.5pi', 'pi').
 Exit codes: 0 success, 1 validation error, 2 numerical error, 3
 verification failure, 141 stdout closed by its reader (as after a
-SIGPIPE). Errors print a single line 'error: <kind>: <detail>' on
-stderr.
+SIGPIPE). An output path that cannot be written (an --out under a file,
+or naming a directory) exits 1 with the operating system's reason as
+its kind, such as 'error: IsADirectory: ...'. Errors print a single
+line 'error: <kind>: <detail>' on stderr.
 """
 
 from __future__ import annotations
@@ -78,6 +80,18 @@ def _flag_type(convert):
     return converted
 
 
+@_flag_type
+def _parse_seed(text: str) -> int:
+    """A seed for numpy's default_rng, which takes integers >= 0 only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValidationError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _param_parent() -> argparse.ArgumentParser:
     parent = _Parser(add_help=False)
     group = parent.add_argument_group("physical parameters")
@@ -98,7 +112,7 @@ def _param_parent() -> argparse.ArgumentParser:
                      help="output path (default: stdout)")
     out.add_argument("--format", dest="fmt", choices=("csv", "json"),
                      default="json", help="output format for scalar reports")
-    out.add_argument("--seed", type=int, default=42,
+    out.add_argument("--seed", type=_parse_seed, default=42,
                      help="seed for randomized verification sweeps")
     return parent
 
@@ -311,6 +325,11 @@ def main(argv=None) -> int:
         # stdout at devnull so that the interpreter's final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:
+        # an output path that cannot be created or written
+        kind = type(exc).__name__.removesuffix("Error")
+        print(f"error: {kind}: {exc}", file=sys.stderr)
+        return 1
     except ValidationError as exc:
         print(f"error: Validation: {exc}", file=sys.stderr)
         return 1

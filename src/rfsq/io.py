@@ -44,28 +44,68 @@ def format_float(value: float) -> str:
 
 def dump_csv(stream, columns: dict[str, np.ndarray]) -> None:
     """Write named columns as a versioned CSV (header magic, names, rows)."""
-    names = list(columns)
-    data = [np.asarray(columns[name], dtype=float).ravel() for name in names]
-    length = len(data[0])
-    if any(len(col) != length for col in data):
-        raise ValidationError("all CSV columns must have equal length")
-    stream.write(CSV_MAGIC + "\n")
-    stream.write(",".join(names) + "\n")
-    # "%.17g" formats a float exactly as format_float does; one % call
-    # formats a whole block of rows
-    row = ",".join(["%.17g"] * len(data)) + "\n"
-    for lo in range(0, length, CSV_BLOCK_ROWS):
-        block = np.column_stack([col[lo:lo + CSV_BLOCK_ROWS] for col in data])
-        stream.write(row * len(block) % tuple(block.ravel().tolist()))
+    _write_table(stream, *_csv_table(columns))
 
 
 def write_csv(path, columns: dict[str, np.ndarray]) -> Path:
     """Write named columns to a versioned CSV file (see dump_csv)."""
+    table = _csv_table(columns)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
-        dump_csv(fh, columns)
+        _write_table(fh, *table)
     return path
+
+
+def _csv_table(columns: dict[str, np.ndarray]) -> tuple[list, list]:
+    """Column names and flat float columns, checked to have equal lengths."""
+    names = list(columns)
+    data = [np.asarray(columns[name], dtype=float).ravel() for name in names]
+    if any(len(col) != len(data[0]) for col in data):
+        raise ValidationError("all CSV columns must have equal length")
+    return names, data
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of a sorted array."""
+    return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+
+
+def _repeated_strings(col: np.ndarray):
+    """The sorted distinct bit patterns of a column and their strings, or
+    None unless at most half the values of its first block, and of the
+    whole column, are distinct (formatting mostly distinct values one
+    call each is slower than a block's "%.17g")."""
+    head = _distinct(np.sort(col[:CSV_BLOCK_ROWS].view(np.int64)))
+    if 2 * len(head) > min(len(col), CSV_BLOCK_ROWS):
+        return None
+    keys = _distinct(np.sort(col.view(np.int64)))
+    if 2 * len(keys) > len(col):
+        return None
+    strings = [format_float(v) for v in keys.view(float).tolist()]
+    return keys, np.array(strings, dtype=object)
+
+
+def _write_table(stream, names: list, data: list) -> None:
+    stream.write(CSV_MAGIC + "\n")
+    stream.write(",".join(names) + "\n")
+    # one % call formats a whole block of rows; "%.17g" formats a float
+    # exactly as format_float does. A column that repeats its values, as a
+    # scan axis does, has each distinct bit pattern (so -0.0 apart from
+    # 0.0) formatted once and fills a "%s" slot from those strings
+    lookups = [_repeated_strings(col) for col in data]
+    row = ",".join("%.17g" if lookup is None else "%s" for lookup in lookups) + "\n"
+    ncols, length = len(data), len(data[0])
+    for lo in range(0, length, CSV_BLOCK_ROWS):
+        rows = min(CSV_BLOCK_ROWS, length - lo)
+        values = [None] * (rows * ncols)
+        for k, (col, lookup) in enumerate(zip(data, lookups)):
+            part = col[lo:lo + rows]
+            if lookup is not None:
+                keys, strings = lookup
+                part = strings[np.searchsorted(keys, part.view(np.int64))]
+            values[k::ncols] = part.tolist()
+        stream.write(row * rows % tuple(values))
 
 
 def read_csv(path) -> dict[str, np.ndarray]:

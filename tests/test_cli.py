@@ -252,6 +252,35 @@ def test_negative_values_as_a_separate_word(capsys, flag, value, expected):
         assert json.loads(out)["inputs"][flag[2:]] == expected
 
 
+@pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+def test_seed_must_be_a_non_negative_integer(capsys, seed):
+    code, out, err = run(capsys, "verify", "--fast", "--seed", seed)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: Validation: argument --seed: expected a "
+                   f"non-negative integer, got {seed!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--metric", "s_x", "--axis1", "omega:0:1:4"),
+    ("figure", "5"),
+])
+@pytest.mark.parametrize("where,kind", [
+    ("file/x.csv", "FileExists"),
+    ("dir", "IsADirectory"),
+])
+def test_unwritable_out_prints_one_line(capsys, tmp_path, argv, where, kind):
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / where))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {kind}: ")
+    assert err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 def test_closed_stdout_exits_quietly():
     # the reader takes one line and closes the pipe, as `| head -1` does
     src = Path(rfsq.optimize.__file__).resolve().parents[1]

@@ -1,6 +1,7 @@
 """Figure datasets, CSV round trips, and angle parsing."""
 
 import io
+import itertools
 import json
 import math
 
@@ -11,16 +12,46 @@ from rfsq import AtomFieldParams, build_figure, emit_figure, full_report
 from rfsq.errors import ValidationError
 from rfsq.io import (
     CSV_MAGIC,
+    _repeated_strings,
     dump_csv,
     format_float,
     parse_angle,
     read_csv,
     write_csv,
 )
+from rfsq.scan import AxisSpec, ScanSpec, scan
 
 #: values whose formatting has edge cases of its own
 SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, math.inf, -math.inf,
                   math.nan, 1.7976931348623157e308, -1.7976931348623157e308]
+
+#: NaNs that differ in sign and payload: distinct bit patterns, one string
+NAN_PATTERNS = np.array([0xFFF8000000000000, 0x7FF0000000000001,
+                         0x7FF8000000000123, 0xFFFFFFFFFFFFFFFF],
+                        dtype=np.uint64).view(float)
+
+LENGTHS = [0, 1, 2, 65_535, 65_536, 65_537, 200_000]
+
+
+def row_at_a_time(columns: dict) -> str:
+    """The CSV that dump_csv must write, formatted one value at a time."""
+    lines = [CSV_MAGIC, ",".join(columns)]
+    for row in zip(*(np.asarray(col, dtype=float).tolist()
+                     for col in columns.values())):
+        lines.append(",".join(format_float(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def assert_dumped_as_row_at_a_time(columns: dict) -> None:
+    # names the first differing line: pytest's own diff of two texts of
+    # several MB takes minutes
+    buf = io.StringIO()
+    dump_csv(buf, columns)
+    got, expected = buf.getvalue(), row_at_a_time(columns)
+    if got != expected:
+        lines = itertools.zip_longest(got.split("\n"), expected.split("\n"))
+        first = next((k, a, b) for k, (a, b) in enumerate(lines) if a != b)
+        pytest.fail(f"line {first[0]}: got {first[1]!r}, expected {first[2]!r}")
 
 
 class TestParseAngle:
@@ -98,13 +129,60 @@ class TestCsv:
                 if start < stop:
                     col[start:stop] = np.roll(SPECIAL_VALUES, k)[:stop - start]
             columns[f"c{k}"] = col
-        lines = [CSV_MAGIC, ",".join(columns)]
-        for row in zip(*(col.tolist() for col in columns.values())):
-            lines.append(",".join(format_float(v) for v in row))
-        expected = "\n".join(lines) + "\n"
-        buf = io.StringIO()
-        dump_csv(buf, columns)
-        assert buf.getvalue() == expected
+        assert_dumped_as_row_at_a_time(columns)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_repeating_columns_match_row_at_a_time(self, length):
+        special = np.concatenate((SPECIAL_VALUES, NAN_PATTERNS))
+        reps = max(2, -(-length // len(special)))
+        columns = {
+            "repeat": np.repeat(special, reps)[:length],
+            "resize": np.resize(special, length),
+            "other": np.random.default_rng(length).standard_normal(length),
+        }
+        if length >= 2 * len(special):
+            assert _repeated_strings(columns["repeat"]) is not None
+            assert _repeated_strings(columns["resize"]) is not None
+        assert_dumped_as_row_at_a_time(columns)
+
+    @pytest.mark.parametrize("length", [100_000, 200_000])
+    def test_column_repeating_in_its_first_block_only(self, length):
+        rng = np.random.default_rng(length)
+        col = rng.standard_normal(length)
+        col[:65_536] = np.resize(SPECIAL_VALUES, 65_536)
+        # over 200,000 rows most values are distinct, so the floats are
+        # formatted as they come
+        assert (_repeated_strings(col) is None) == (length == 200_000)
+        columns = {"head": col, "other": rng.standard_normal(length)}
+        assert_dumped_as_row_at_a_time(columns)
+
+    def test_column_repeating_after_its_first_block_only(self):
+        rng = np.random.default_rng(61)
+        col = rng.standard_normal(200_000)
+        col[65_536:] = np.resize(SPECIAL_VALUES, 200_000 - 65_536)
+        assert _repeated_strings(col) is None
+        assert_dumped_as_row_at_a_time({"tail": col})
+
+    def test_scan_columns_match_row_at_a_time(self):
+        result = scan(ScanSpec(
+            axis1=AxisSpec("omega", 0.0, 30.0, 301),
+            axis2=AxisSpec("phi", -math.pi, math.pi, 401),
+            fixed=AtomFieldParams(n_sq=0.1, delta=10.0), metric="s_x"))
+        columns = result.columns()
+        assert _repeated_strings(columns["omega"]) is not None
+        assert _repeated_strings(columns["phi"]) is not None
+        assert _repeated_strings(columns["s_x"]) is None
+        assert_dumped_as_row_at_a_time(columns)
+
+    def test_unequal_lengths_leave_an_existing_file_alone(self, tmp_path):
+        path = write_csv(tmp_path / "x.csv", {"a": [1.0, 2.0]})
+        before = path.read_bytes()
+        with pytest.raises(ValidationError):
+            write_csv(path, {"a": [1.0, 2.0], "b": [3.0]})
+        assert path.read_bytes() == before
+        with pytest.raises(ValidationError):
+            write_csv(tmp_path / "new.csv", {"a": [1.0], "b": []})
+        assert not (tmp_path / "new.csv").exists()
 
     def test_magic_line_is_checked(self, tmp_path):
         path = tmp_path / "x.csv"
