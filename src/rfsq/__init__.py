@@ -46,6 +46,7 @@ from .optimize import (
     find_crossover,
     golden_section_max,
     minimize_variance,
+    minimize_variance_batch,
 )
 from .figures import build_figure, emit_figure
 from . import backends, errors
@@ -61,7 +62,8 @@ __all__ = [
     "PureStateSolution", "condition_phi0", "condition_phi_half_pi",
     "condition_phi_pi", "maximal_family", "sz_plus_half", "find_pure_curve",
     "AxisSpec", "ScanSpec", "ScanResult", "scan",
-    "OptimumReport", "minimize_variance", "find_crossover",
+    "OptimumReport", "minimize_variance", "minimize_variance_batch",
+    "find_crossover",
     "certify_n_eighth", "golden_section_max",
     "build_figure", "emit_figure",
     "backends", "errors",

@@ -29,7 +29,7 @@ from .errors import (
     StepTooLargeError,
     ValidationError,
 )
-from .params import AtomFieldParams, derive_rates
+from .params import AtomFieldParams, decay_rates, derive_rates
 
 #: instability sentinel: no physical Bloch component can approach this
 BLOW_LIMIT = 10.0
@@ -37,7 +37,11 @@ BLOW_LIMIT = 10.0
 
 @dataclass(frozen=True)
 class BlochState:
-    """Bloch vector (<sx>, <sy>, <sz>) of the two-level atom."""
+    """Bloch vector (<sx>, <sy>, <sz>) of the two-level atom.
+
+    The components are floats, or arrays of one shape for a stack of
+    states, which ``sigma`` and ``metrics.optimal_variance`` also take.
+    """
 
     sx: float
     sy: float
@@ -70,14 +74,26 @@ class BlochSystem:
 
 def build_system(params: AtomFieldParams) -> BlochSystem:
     """Assemble the Bloch coefficient matrix and drive vector."""
-    rates = derive_rates(params)
-    gm_sin = params.gamma * rates.m_corr * math.sin(params.phi)
-    a = np.array([
-        [-rates.gamma_x, -(params.delta + gm_sin), 0.0],
-        [params.delta - gm_sin, -rates.gamma_y, -params.omega],
-        [0.0, params.omega, -rates.gamma_z],
-    ])
-    b = np.array([0.0, 0.0, -params.gamma])
+    return system_grid(**params.inputs())
+
+
+def system_grid(gamma, n_sq, eta, phi, omega, delta) -> BlochSystem:
+    """Bloch coefficients over broadcastable parameter arrays.
+
+    a_matrix is (..., 3, 3) and b_vector (..., 3), with ... the broadcast
+    shape: one system for scalar inputs, a stack for arrays.
+    """
+    gamma, n_sq, eta, phi, omega, delta = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (gamma, n_sq, eta, phi, omega, delta)))
+    m, _, gamma_x, gamma_y, gamma_z = decay_rates(gamma, n_sq, eta, phi)
+    gm_sin = gamma * m * np.sin(phi)
+    zero = np.zeros_like(gamma)
+    a = np.stack([
+        np.stack([-gamma_x, -(delta + gm_sin), zero], axis=-1),
+        np.stack([delta - gm_sin, -gamma_y, -omega], axis=-1),
+        np.stack([zero, omega, -gamma_z], axis=-1),
+    ], axis=-2)
+    b = np.stack([zero, zero, -gamma], axis=-1)
     return BlochSystem(a_matrix=a, b_vector=b)
 
 
@@ -159,28 +175,37 @@ def evolve(
     return out
 
 
-def characteristic_coefficients(system: BlochSystem) -> tuple[float, float, float]:
-    """Coefficients (c2, c1, c0) of det(lam*I - A) = lam^3 + c2 lam^2 + c1 lam + c0."""
+def characteristic_coefficients(system: BlochSystem):
+    """Coefficients (c2, c1, c0) of det(lam*I - A) = lam^3 + c2 lam^2 + c1 lam + c0.
+
+    Over a stack of systems (a_matrix (..., 3, 3)) each is an array.
+    """
     a = system.a_matrix
-    c2 = -np.trace(a)
+    c2 = -np.trace(a, axis1=-2, axis2=-1)
     c1 = (  # sum of the principal 2x2 minors
-        a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        + a[0, 0] * a[2, 2] - a[0, 2] * a[2, 0]
-        + a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1]
+        a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        + a[..., 0, 0] * a[..., 2, 2] - a[..., 0, 2] * a[..., 2, 0]
+        + a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1]
     )
     c0 = -np.linalg.det(a)
-    return float(c2), float(c1), float(c0)
+    return c2, c1, c0
 
 
-def routh_hurwitz_margins(system: BlochSystem) -> tuple[float, float, float]:
-    """Stability certificate (c2, c0, c2*c1 - c0); all positive iff Hurwitz."""
+def routh_hurwitz_margins(system: BlochSystem):
+    """Stability certificate (c2, c0, c2*c1 - c0); all positive iff Hurwitz.
+
+    Over a stack of systems each margin is an array.
+    """
     c2, c1, c0 = characteristic_coefficients(system)
     return c2, c0, c2 * c1 - c0
 
 
-def spectral_abscissa(system: BlochSystem) -> float:
-    """Largest real part among the eigenvalues of the Bloch matrix."""
-    return float(np.linalg.eigvals(system.a_matrix).real.max())
+def spectral_abscissa(system: BlochSystem):
+    """Largest real part among the eigenvalues of the Bloch matrix.
+
+    Over a stack of systems, one value per system.
+    """
+    return np.linalg.eigvals(system.a_matrix).real.max(axis=-1)
 
 
 def relax_to_steady(
@@ -216,9 +241,9 @@ def relax_batch(params_seq, s0=None, tol: float = 1e-10) -> np.ndarray:
         raise ValidationError(f"tol must be positive, got {tol}")
     if s0 is None:
         s0 = BlochState.ground().as_array()
-    systems = [build_system(params) for params in params_seq]
-    a = np.stack([system.a_matrix for system in systems])
-    b = np.stack([system.b_vector for system in systems])
+    system = system_grid(*np.array(
+        [list(params.inputs().values()) for params in params_seq]).T)
+    a, b = system.a_matrix, system.b_vector
     gamma = -b[:, 2]
     a_norm = np.abs(a).sum(axis=-1).max(axis=-1)
     h = 0.25 / (a_norm + gamma)
@@ -228,7 +253,7 @@ def relax_batch(params_seq, s0=None, tol: float = 1e-10) -> np.ndarray:
     # time cap: 200 time constants of the slowest decaying mode, which can
     # be far slower than min(gamma_x, gamma_y, gamma_z) when the coherences
     # mix into slow/fast quadrature combinations
-    abscissa = np.linalg.eigvals(a).real.max(axis=-1)
+    abscissa = spectral_abscissa(system)
     rates = -np.diagonal(a, axis1=1, axis2=2)  # gamma_x, gamma_y, gamma_z
     rho_slow = np.minimum(-abscissa, rates.min(axis=-1))
     t_cap = 200.0 / rho_slow

@@ -3,6 +3,11 @@
     rfsq steady|report|scan|figure|optimize|pure|crossover|verify [flags]
 
 Angle-valued flags accept radians or multiples of pi ('0.5pi', 'pi').
+Each command takes only the flags it reads, and rejects any other as a
+validation error: the physical flags go to steady, report and scan, and
+of them optimize reads --n, --eta and --phi, pure also --delta, and
+crossover --eta alone; --format goes to the commands that print a
+scalar report (not scan or figure), --seed to verify alone.
 Exit codes: 0 success, 1 validation error, 2 numerical error, 3
 verification failure, 141 stdout closed by its reader (as after a
 SIGPIPE). An output path that cannot be written (an --out under a file,
@@ -92,29 +97,36 @@ def _parse_seed(text: str) -> int:
     return seed
 
 
-def _param_parent() -> argparse.ArgumentParser:
-    parent = _Parser(add_help=False)
-    group = parent.add_argument_group("physical parameters")
-    group.add_argument("--gamma", type=float, default=1.0,
-                       help="spontaneous decay rate (frequency unit, default 1)")
-    group.add_argument("--n", dest="n_sq", type=float, default=0.0,
-                       help="squeezed photon number N")
-    group.add_argument("--eta", type=float, default=1.0,
-                       help="squeezing ideality in [0, 1] (default 1)")
-    group.add_argument("--phi", type=_flag_type(parse_angle), default=0.0,
-                       help="relative phase (radians or e.g. '0.5pi')")
-    group.add_argument("--omega", type=float, default=0.0,
-                       help="Rabi frequency in units of gamma")
-    group.add_argument("--delta", type=float, default=0.0,
-                       help="detuning in units of gamma")
-    out = parent.add_argument_group("output")
-    out.add_argument("--out", type=Path, default=None,
-                     help="output path (default: stdout)")
-    out.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                     default="json", help="output format for scalar reports")
-    out.add_argument("--seed", type=_parse_seed, default=42,
-                     help="seed for randomized verification sweeps")
-    return parent
+#: the physical flags by destination: (flag, converter, default, help)
+_PARAM_FLAGS = {
+    "gamma": ("--gamma", float, 1.0,
+              "spontaneous decay rate (frequency unit, default 1)"),
+    "n_sq": ("--n", float, 0.0, "squeezed photon number N"),
+    "eta": ("--eta", float, 1.0, "squeezing ideality in [0, 1] (default 1)"),
+    "phi": ("--phi", _flag_type(parse_angle), 0.0,
+            "relative phase (radians or e.g. '0.5pi')"),
+    "omega": ("--omega", float, 0.0, "Rabi frequency in units of gamma"),
+    "delta": ("--delta", float, 0.0, "detuning in units of gamma"),
+}
+
+
+def _add_params(parser, *names) -> None:
+    """The physical flags a command reads; the others stay at their defaults."""
+    group = parser.add_argument_group("physical parameters")
+    for name in names:
+        flag, convert, default, text = _PARAM_FLAGS[name]
+        group.add_argument(flag, dest=name, type=convert, default=default,
+                           help=text)
+
+
+def _add_output(parser, fmt: bool = True) -> None:
+    """--out, and --format for the commands that print a scalar report."""
+    group = parser.add_argument_group("output")
+    group.add_argument("--out", type=Path, default=None,
+                       help="output path (default: stdout)")
+    if fmt:
+        group.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                           default="json", help="output format for scalar reports")
 
 
 @_flag_type
@@ -151,15 +163,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version",
                         version=f"rfsq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parent = _param_parent()
 
-    sub.add_parser("steady", parents=[parent],
-                   help="steady Bloch vector at one parameter point")
-    sub.add_parser("report", parents=[parent],
-                   help="full squeezing report at one parameter point")
+    for name, text in (("steady", "steady Bloch vector at one parameter point"),
+                       ("report", "full squeezing report at one parameter point")):
+        p_point = sub.add_parser(name, help=text)
+        _add_params(p_point, *_PARAM_FLAGS)
+        _add_output(p_point)
 
-    p_scan = sub.add_parser("scan", parents=[parent],
-                            help="grid scan of one metric")
+    p_scan = sub.add_parser("scan", help="grid scan of one metric")
+    _add_params(p_scan, *_PARAM_FLAGS)
+    _add_output(p_scan, fmt=False)
     p_scan.add_argument("--metric", required=True,
                         help="s_theta|s_x|s_y|s_pi4|s_opt|sigma|sz")
     p_scan.add_argument("--axis1", required=True, type=_parse_axis,
@@ -169,28 +182,34 @@ def build_parser() -> _Parser:
     p_scan.add_argument("--theta", type=_flag_type(parse_angle), default=0.0,
                         help="quadrature phase for the s_theta metric")
 
-    p_fig = sub.add_parser("figure", parents=[parent],
-                           help="emit a bundled figure dataset")
+    p_fig = sub.add_parser("figure", help="emit a bundled figure dataset")
+    _add_output(p_fig, fmt=False)
     p_fig.add_argument("number", type=int, choices=range(2, 8),
                        metavar="2..7")
     p_fig.add_argument("--script", action="store_true",
                        help="also write a gnuplot script next to the CSV")
 
-    p_opt = sub.add_parser("optimize", parents=[parent],
+    p_opt = sub.add_parser("optimize",
                            help="minimise the optimal-quadrature variance over a box")
+    _add_params(p_opt, "n_sq", "eta", "phi")
+    _add_output(p_opt)
     p_opt.add_argument("--box", required=True, type=_parse_box,
                        metavar="omega:lo:hi,delta:lo:hi")
 
-    p_pure = sub.add_parser("pure", parents=[parent],
-                            help="pure-state drive conditions")
+    p_pure = sub.add_parser("pure", help="pure-state drive conditions")
+    _add_params(p_pure, "n_sq", "eta", "phi", "delta")
+    _add_output(p_pure)
     p_pure.add_argument("--solve-omega", action="store_true",
                         help="maximise purity over the drive strength numerically")
 
-    sub.add_parser("crossover", parents=[parent],
-                   help="photon number where output stops beating input")
+    p_cross = sub.add_parser("crossover",
+                             help="photon number where output stops beating input")
+    _add_params(p_cross, "eta")
+    _add_output(p_cross)
 
-    p_verify = sub.add_parser("verify", parents=[parent],
-                              help="run the self-verification suite")
+    p_verify = sub.add_parser("verify", help="run the self-verification suite")
+    p_verify.add_argument("--seed", type=_parse_seed, default=42,
+                          help="seed for randomized verification sweeps")
     p_verify.add_argument("--fast", action="store_true",
                           help="smaller sweeps, same checks")
     return parser
@@ -313,10 +332,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        params = AtomFieldParams(
-            gamma=args.gamma, n_sq=args.n_sq, eta=args.eta,
-            phi=args.phi, omega=args.omega, delta=args.delta,
-        )
+        params = AtomFieldParams(**{name: value for name, value in vars(args).items()
+                                    if name in _PARAM_FLAGS})
         code = _COMMANDS[args.command](args, params)
         sys.stdout.flush()
         return code

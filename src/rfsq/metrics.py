@@ -21,7 +21,7 @@ import numpy as np
 
 from .bloch import BlochState, steady_state
 from .errors import DegeneratePhaseError, NumericalError
-from .params import AtomFieldParams, derive_rates
+from .params import AtomFieldParams, decay_rates, derive_rates
 
 #: coherence below this is treated as zero and every phase ties
 COHERENCE_FLOOR = 1e-20
@@ -73,25 +73,44 @@ def variance_theta(state: BlochState, theta: float) -> float:
 
 
 def optimal_variance(state: BlochState) -> float:
-    """Minimal variance over the quadrature phase."""
+    """Minimal variance over the quadrature phase.
+
+    Polymorphic: a state whose components are arrays gives an array, and
+    the identity check must then hold at every point.
+    """
     value = 1.0 + state.sz - state.sx**2 - state.sy**2
     alt = state.sz * (1.0 + state.sz) + 1.0 - state.sigma
-    if abs(value - alt) > 1e-14 * max(1.0, abs(value)):
+    err = abs(value - alt)
+    # err > 1e-14 max(1, |value|), in operators that keep float components
+    # in Python floats; a pass is then a plain False that skips numpy
+    violated = (err > 1e-14) & (err > 1e-14 * abs(value))
+    if violated is not False and np.any(violated):
+        k = np.argmax(violated)
         raise NumericalError(
-            f"variance identity violated: {value!r} vs {alt!r}"
+            f"variance identity violated: {float(np.ravel(value)[k])!r} "
+            f"vs {float(np.ravel(alt)[k])!r}"
         )
     return value
 
 
+#: libm's atan2, elementwise. numpy's own arctan2 differs from it in the
+#: last place at about 7% of the Bloch-sweep points, and there libm's is
+#: nearly always the closer to the exact angle
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def optimal_phase_grid(gamma, n_sq, eta, phi, delta):
+    """Optimal quadrature phase in [0, pi) over scalars or broadcastable arrays."""
+    m, _, gamma_x, _, _ = decay_rates(gamma, n_sq, eta, phi)
+    den = delta + gamma * m * np.sin(phi)
+    # gamma_x > 0 always, so atan2 already lands in (0, pi), at pi/2 for den = 0
+    return np.asarray(_atan2(gamma_x, den), dtype=float) % math.pi
+
+
 def optimal_phase_analytic(params: AtomFieldParams) -> float:
     """Optimal quadrature phase from the closed form, reduced into [0, pi)."""
-    rates = derive_rates(params)
-    gm_sin = params.gamma * rates.m_corr * math.sin(params.phi)
-    den = params.delta + gm_sin
-    if den == 0.0:
-        return math.pi / 2.0
-    # gamma_x > 0 always, so atan2 already lands in (0, pi)
-    return math.atan2(rates.gamma_x, den) % math.pi
+    return float(optimal_phase_grid(params.gamma, params.n_sq, params.eta,
+                                    params.phi, params.delta))
 
 
 def optimal_phase_numeric(state: BlochState) -> float:

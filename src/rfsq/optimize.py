@@ -55,31 +55,39 @@ class OptimumReport:
         }
 
 
-def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-10,
-                       max_iter: int = 200) -> tuple[float, float]:
-    """Maximise a unimodal function on [lo, hi]; returns (x, f(x)).
+def golden_section_max(f, lo, hi, xtol=1e-10, max_iter: int = 200):
+    """Maximise unimodal functions on brackets [lo, hi]; returns (x, f(x), steps).
 
-    Interval form of golden-section search, robust when the maximum sits
-    on a boundary of the bracket.
+    Interval form of golden-section search, robust when a maximum sits on
+    a boundary of its bracket. lo, hi and xtol are scalars or broadcastable
+    arrays of independent problems, and f maps an array of points, one per
+    problem, to their values. Each problem narrows its own bracket until it
+    is at most its xtol wide or max_iter iterations have passed; ``steps``
+    counts its iterations, so f is evaluated for it at steps + 3 points.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
+    a, b, xtol = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                       for x in (lo, hi, xtol)))
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
+    steps = np.zeros(a.shape, dtype=np.int64)
     for _ in range(max_iter):
-        if b - a <= xtol:
+        active = ~(b - a <= xtol)
+        if not active.any():
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
+        # a finished problem keeps its bracket; its inner points no longer matter
+        left = fc > fd  # the maximum lies in [a, d]: d becomes b, c becomes d
+        a = np.where(active & ~left, c, a)
+        b = np.where(active & left, d, b)
+        span = invphi * (b - a)
+        x = np.where(left, b - span, a + span)
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        steps += active
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, f(x), steps
 
 
 def drive_optima(n_sq, eta, phi, delta):
@@ -112,6 +120,61 @@ def drive_optima(n_sq, eta, phi, delta):
 GOLDEN_MAX_ITER = 200
 
 
+def minimize_variance_batch(n_sq, phi, bounds, eta: float = 1.0,
+                            coarse: int = 64):
+    """Minimise the optimal-quadrature variance of many problems over one box.
+
+    The box is ((omega_lo, omega_hi), (delta_lo, delta_hi)); n_sq and phi
+    are broadcastable 1-D arrays, one entry per problem. At each delta the
+    drive is the optimum of ``drive_optima`` clipped into the box, so only
+    delta is searched: one kernel call evaluates every problem on
+    ``coarse`` nodes, and the best node of each (ties broken toward low
+    delta) is refined by one array golden-section search between its
+    neighbours, and kept if the refinement finds nothing lower. A box side of zero width freezes that coordinate. Returns the
+    arrays (omega, delta, value, n_evals, converged): ``n_evals`` counts
+    each problem's objective evaluations, and ``converged`` is False where
+    the refinement stopped on its iteration cap.
+    """
+    (w_lo, w_hi), (d_lo, d_hi) = bounds
+    if w_lo > w_hi or d_lo > d_hi or w_lo < 0.0:
+        raise ValidationError(f"invalid search box {bounds!r}")
+    n_sq, phi = (x[:, None] for x in np.broadcast_arrays(
+        np.asarray(n_sq, dtype=float), np.asarray(phi, dtype=float)))
+    rows = np.arange(len(n_sq))
+
+    def profile(delta):
+        # one row per problem; delta is (nodes,) or a (P, 1) column
+        w_min = drive_optima(n_sq, eta, phi, delta)[0]
+        # fmax maps an overflowed (NaN) optimum to omega = w_lo
+        omega = np.clip(np.sqrt(np.fmax(w_min, 0.0)), w_lo, w_hi)
+        sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
+        return omega, 1.0 + sz - sx * sx - sy * sy
+
+    ds = np.linspace(d_lo, d_hi, 1 if d_lo == d_hi else coarse)
+    omegas, vals = profile(ds)
+    i = np.argmin(vals, axis=1)
+    omega, delta, value = omegas[rows, i], ds[i], vals[rows, i]
+    n_evals = np.full(len(rows), ds.size)
+    converged = np.ones(len(rows), dtype=bool)
+    if ds.size > 1:
+        # relative to the box's scale, so that a bracket far from zero can
+        # still narrow to the tolerance in floating point
+        xtol = 1e-10 * max(1.0, abs(d_lo), abs(d_hi))
+        x, neg, steps = golden_section_max(
+            lambda d: -profile(d[:, None])[1][:, 0], ds[np.maximum(i - 1, 0)],
+            ds[np.minimum(i + 1, ds.size - 1)], xtol=xtol,
+            max_iter=GOLDEN_MAX_ITER)
+        converged = steps < GOLDEN_MAX_ITER
+        better = -neg < value
+        # golden section evaluates twice to start, once per iteration and
+        # once at the end; a better point is evaluated again for its drive
+        n_evals += 3 + steps + better
+        omega = np.where(better, profile(x[:, None])[0][:, 0], omega)
+        delta = np.where(better, x, delta)
+        value = np.where(better, -neg, value)
+    return omega, delta, value, n_evals, converged
+
+
 def minimize_variance(
     n_sq: float,
     phi: float,
@@ -121,56 +184,20 @@ def minimize_variance(
 ) -> OptimumReport:
     """Minimise the optimal-quadrature variance over an (omega, delta) box.
 
-    At each delta the drive is the optimum of ``drive_optima`` clipped
-    into the box, so only delta is searched: the best of ``coarse`` nodes
-    (ties broken toward low delta) is refined by golden-section search
-    between its neighbours, and kept if the refinement finds nothing
-    lower. A box side of zero width freezes that coordinate. ``n_evals``
-    counts objective evaluations; ``converged`` is False when the
-    refinement stops on its iteration cap. The reported theta is the
-    analytic optimal phase at the located minimum.
+    ``minimize_variance_batch`` for one problem. The reported theta is
+    the analytic optimal phase at the located minimum.
     """
-    (w_lo, w_hi), (d_lo, d_hi) = bounds
-    if w_lo > w_hi or d_lo > d_hi or w_lo < 0.0:
-        raise ValidationError(f"invalid search box {bounds!r}")
-    n_evals = 0
-
-    def profile(delta):
-        nonlocal n_evals
-        n_evals += np.size(delta)
-        w_min = drive_optima(n_sq, eta, phi, delta)[0]
-        # fmax maps an overflowed (NaN) optimum to omega = w_lo
-        omega = np.clip(np.sqrt(np.fmax(w_min, 0.0)), w_lo, w_hi)
-        sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
-        return omega, 1.0 + sz - sx * sx - sy * sy
-
-    ds = np.linspace(d_lo, d_hi, 1 if d_lo == d_hi else coarse)
-    omegas, vals = profile(ds)
-    i = int(np.argmin(vals))
-    omega, delta, value = float(omegas[i]), float(ds[i]), float(vals[i])
-    converged = True
-    if ds.size > 1:
-        # relative to the box's scale, so that a bracket far from zero can
-        # still narrow to the tolerance in floating point
-        xtol = 1e-10 * max(1.0, abs(d_lo), abs(d_hi))
-        x, neg = golden_section_max(
-            lambda d: -float(profile(d)[1]), ds[max(i - 1, 0)],
-            ds[min(i + 1, ds.size - 1)], xtol=xtol, max_iter=GOLDEN_MAX_ITER)
-        # golden section evaluates twice to start, once per iteration and
-        # once at the end
-        converged = n_evals - ds.size < GOLDEN_MAX_ITER + 3
-        if -neg < value:
-            delta, value = x, -neg
-            omega = float(profile(x)[0])
-
-    params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=phi, omega=omega, delta=delta)
+    omega, delta, value, n_evals, converged = (
+        x[0] for x in minimize_variance_batch([n_sq], [phi], bounds, eta, coarse))
+    params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=phi, omega=float(omega),
+                             delta=float(delta))
     return OptimumReport(
-        omega=omega,
-        delta=delta,
+        omega=float(omega),
+        delta=float(delta),
         theta=optimal_phase_analytic(params),
-        value=value,
-        n_evals=n_evals,
-        converged=converged,
+        value=float(value),
+        n_evals=int(n_evals),
+        converged=bool(converged),
     )
 
 
@@ -213,9 +240,10 @@ def certify_n_eighth(
 
     Minimises the variance over (omega, delta, theta) for each photon
     number on {0.02, 0.04, ..., 0.5} plus the exact 0.125, across the
-    given squeezing phases. Passes when the global minimum sits within
-    one grid step of 0.125 at -0.25 +- tolerance while every N further
-    than 0.02 from 0.125 stays above -0.25 + 1e-4.
+    given squeezing phases, in one ``minimize_variance_batch`` call.
+    Passes when the global minimum sits within one grid step of 0.125 at
+    -0.25 +- tolerance while every N further than 0.02 from 0.125 stays
+    above -0.25 + 1e-4.
     """
     if not 0.0 < tolerance <= 1e-2:
         raise ValidationError(f"tolerance must lie in (0, 1e-2], got {tolerance}")
@@ -224,20 +252,18 @@ def certify_n_eighth(
         grid.append(0.125)
     grid.sort()
 
-    minima = []
-    sigmas = []
-    for n in grid:
-        best = None
-        best_phi = phases[0]
-        for phi in phases:
-            report = minimize_variance(n, phi, CERTIFY_BOX, coarse=coarse)
-            if best is None or report.value < best.value:
-                best = report
-                best_phi = phi
-        minima.append(best.value)
-        sx, sy, sz = steady_state_grid(1.0, n, 1.0, best_phi,
-                                       best.omega, best.delta)
-        sigmas.append(float(sx * sx + sy * sy + sz * sz))
+    # one problem per (N, phase), the phase varying fastest
+    n_sq = np.repeat(grid, len(phases))
+    phi = np.tile(np.asarray(phases, dtype=float), len(grid))
+    omega, delta, value, _, _ = minimize_variance_batch(n_sq, phi, CERTIFY_BOX,
+                                                        coarse=coarse)
+    # the first phase wins a tie, as in a loop that keeps strictly lower values
+    best = (np.arange(len(grid)) * len(phases)
+            + np.argmin(value.reshape(len(grid), -1), axis=1))
+    sx, sy, sz = steady_state_grid(1.0, n_sq[best], 1.0, phi[best],
+                                   omega[best], delta[best])
+    minima = value[best].tolist()
+    sigmas = (sx * sx + sy * sy + sz * sz).tolist()
 
     k_min = int(np.argmin(minima))
     offenders = []

@@ -154,12 +154,16 @@ def sz_plus_half(params: AtomFieldParams) -> float:
         raise UnitMismatchError(
             f"closed form for <sz> + 1/2 requires eta = 1, got {params.eta}"
         )
-    rates = derive_rates(params)
-    drive = rates.gamma_x * params.omega**2  # N + 1/2 + M cosPhi = gamma_x
-    lorentz = params.delta**2 + 0.25
-    n = params.n_sq
-    num = drive + (2.0 * n - 1.0) * lorentz
-    den = 2.0 * (drive + lorentz * (2.0 * n + 1.0))
+    return sz_plus_half_grid(params.n_sq, params.phi, params.omega, params.delta)
+
+
+def sz_plus_half_grid(n_sq, phi, omega, delta):
+    """``sz_plus_half`` over scalars or broadcastable arrays (gamma = eta = 1)."""
+    gamma_x = decay_rates(1.0, n_sq, 1.0, phi)[2]
+    drive = gamma_x * omega**2  # N + 1/2 + M cosPhi = gamma_x
+    lorentz = delta**2 + 0.25
+    num = drive + (2.0 * n_sq - 1.0) * lorentz
+    den = 2.0 * (drive + lorentz * (2.0 * n_sq + 1.0))
     return num / den
 
 

@@ -4,7 +4,12 @@ Each check returns (ok, detail) and is deterministic for a given seed.
 The randomised sweeps draw from the broad desk-scale parameter domain
 (N in [0, 2], Phi in [0, 2 pi), Omega in [0, 30], Delta in [-30, 30],
 gamma = 1, ideal reservoir). ``fast`` shrinks the sweep sizes for a
-quick smoke run.
+quick smoke run. The sweeps are batched: a check draws all its points
+with one generator call and evaluates them with array calls of the
+shipped functions (the relaxations with one ``relax_batch``, the
+photon-number certification with one ``minimize_variance_batch``);
+only csv-roundtrip keeps a scalar ``full_report`` loop, because it
+compares that path with the grid path.
 """
 
 from __future__ import annotations
@@ -16,10 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .bloch import (
-    build_system,
+    BlochState,
+    BlochSystem,
     relax_batch,
     routh_hurwitz_margins,
+    spectral_abscissa,
     steady_state,
+    steady_state_grid,
+    system_grid,
 )
 from .errors import CertificationFailedError, RfsqError
 from .figures import emit_figure
@@ -27,32 +36,42 @@ from .io import read_csv
 from .metrics import (
     full_report,
     input_vacuum_variance,
-    optimal_phase_analytic,
+    optimal_phase_grid,
     optimal_variance,
     pure_state_variance,
     variance_theta,
 )
 from .optimize import certify_n_eighth, find_crossover, golden_section_max
-from .params import AtomFieldParams, derive_rates
-from .pure import maximal_family, sz_plus_half
+from .params import AtomFieldParams, decay_rates
+from .pure import maximal_family, sz_plus_half_grid
 from .scan import AxisSpec, ScanSpec, scan
 
+#: corners of the desk-scale sweep domain, in the column order
+#: (n_sq, phi, omega, delta)
+_DOMAIN = ((0.0, 0.0, 0.0, -30.0), (2.0, 2.0 * math.pi, 30.0, 30.0))
 
-def _draw_params(rng) -> AtomFieldParams:
-    return AtomFieldParams(
-        n_sq=rng.uniform(0.0, 2.0),
-        phi=rng.uniform(0.0, 2.0 * math.pi),
-        omega=rng.uniform(0.0, 30.0),
-        delta=rng.uniform(-30.0, 30.0),
-    )
+
+def _draws(rng, count):
+    """count points of the sweep domain as the columns (n_sq, phi, omega, delta).
+
+    The generator stream is that of count rows of four scalar draws.
+    """
+    return rng.uniform(*_DOMAIN, size=(count, 4)).T
+
+
+def _params(n_sq, phi, omega, delta) -> AtomFieldParams:
+    """One drawn point as parameters."""
+    return AtomFieldParams(n_sq=float(n_sq), phi=float(phi),
+                           omega=float(omega), delta=float(delta))
 
 
 def _min_over_omega(n_sq, phi, delta, variance_of_state, lo=5.0, hi=40.0):
     def f(omega):
-        params = AtomFieldParams(n_sq=n_sq, phi=phi, omega=omega, delta=delta)
+        params = AtomFieldParams(n_sq=n_sq, phi=phi, omega=float(omega),
+                                 delta=delta)
         return variance_of_state(steady_state(params))
 
-    omega, neg = golden_section_max(lambda w: -f(w), lo, hi, xtol=1e-10)
+    omega, neg, _ = golden_section_max(lambda w: -f(w), lo, hi, xtol=1e-10)
     return float(omega), -float(neg)
 
 
@@ -155,16 +174,12 @@ def check_pure_variance_law(seed=42, fast=False):
 def check_relaxation_oracle(seed=42, fast=False):
     """Steady state and time-domain relaxation agree; closed-form <sz> matches."""
     rng = np.random.default_rng(seed)
-    count = 100 if fast else 1000
-    draws = [_draw_params(rng) for _ in range(count)]
-    relaxed = relax_batch(draws, tol=1e-9)
-    worst_state = 0.0
-    worst_sz = 0.0
-    for params, state in zip(draws, relaxed):
-        direct = steady_state(params)
-        worst_state = max(worst_state, np.abs(direct.as_array() - state).max())
-        worst_sz = max(worst_sz, abs(sz_plus_half(params) - (direct.sz + 0.5)))
-    ok = worst_state < 1e-7 and worst_sz <= 1e-10
+    draws = _draws(rng, 100 if fast else 1000)
+    relaxed = relax_batch([_params(*point) for point in draws.T], tol=1e-9)
+    direct = np.stack(steady_state_grid(1.0, draws[0], 1.0, *draws[1:]), axis=-1)
+    worst_state = np.abs(direct - relaxed).max()
+    worst_sz = np.abs(sz_plus_half_grid(*draws) - (direct[:, 2] + 0.5)).max()
+    ok = bool(worst_state < 1e-7 and worst_sz <= 1e-10)
     return ok, (
         f"max |direct - relaxed| = {worst_state:.2e} (tol 1e-7); "
         f"max <sz>+1/2 deviation = {worst_sz:.2e} (tol 1e-10)"
@@ -174,41 +189,41 @@ def check_relaxation_oracle(seed=42, fast=False):
 def check_phase_optimality(seed=42, fast=False):
     """Brute-force quadrature search agrees with the closed-form optimal phase."""
     rng = np.random.default_rng(seed + 1)
-    count = 50 if fast else 500
+    draws = _draws(rng, 50 if fast else 500)
     thetas = np.linspace(0.0, math.pi, 721)[:-1]
     step = thetas[1] - thetas[0]
-    worst_phase = 0.0
-    worst_floor = -np.inf
-    skipped = 0
-    for _ in range(count):
-        params = _draw_params(rng)
-        state = steady_state(params)
-        if state.sx**2 + state.sy**2 < 1e-10:
-            # coherence amplitude below 1e-5: no measurable optimal phase
-            skipped += 1
-            continue
+    sx, sy, sz = steady_state_grid(1.0, draws[0], 1.0, *draws[1:])
+    # coherence amplitude below 1e-5: no measurable optimal phase
+    live = ~(sx**2 + sy**2 < 1e-10)
+    skipped = int((~live).sum())
+    draws = draws[:, live]
+    state = BlochState(sx[live, None], sy[live, None], sz[live, None])
 
-        def phase_term(theta):
-            # the theta-dependent part of S_theta; the constant 1 + <sz>
-            # would swamp its curvature when the coherence is small
-            coherence = state.sx * np.cos(theta) - state.sy * np.sin(theta)
-            return -coherence * coherence
+    def phase_term(theta):
+        # the theta-dependent part of S_theta, one row per draw; the
+        # constant 1 + <sz> would swamp its curvature when the coherence
+        # is small
+        coherence = state.sx * np.cos(theta) - state.sy * np.sin(theta)
+        return -coherence * coherence
 
-        grid = phase_term(thetas)
-        s_opt = optimal_variance(state)
-        worst_floor = max(worst_floor, (s_opt - (1.0 + state.sz + grid)).max())
-        # local refine: parabolic vertex through the winner and neighbours
-        # (robust on flat landscapes where line searches drown in noise)
-        k = int(np.argmin(grid))
-        s_minus = phase_term(thetas[k] - step)
-        s_plus = phase_term(thetas[k] + step)
-        curvature = s_minus - 2.0 * grid[k] + s_plus
-        theta_ref = thetas[k]
-        if curvature > 0.0:
-            theta_ref += 0.5 * step * (s_minus - s_plus) / curvature
-        gap = abs(theta_ref % math.pi - optimal_phase_analytic(params)) % math.pi
-        worst_phase = max(worst_phase, min(gap, math.pi - gap))
-    ok = worst_phase <= 1e-6 and worst_floor <= 1e-12
+    grid = phase_term(thetas)
+    s_opt = optimal_variance(state)
+    worst_floor = np.max(s_opt - (1.0 + state.sz + grid), initial=-np.inf)
+    # local refine: parabolic vertex through the winner and neighbours
+    # (robust on flat landscapes where line searches drown in noise)
+    k = np.argmin(grid, axis=1)
+    rows = np.arange(len(k))
+    best = thetas[k][:, None]
+    s_minus = phase_term(best - step)[:, 0]
+    s_plus = phase_term(best + step)[:, 0]
+    curvature = s_minus - 2.0 * grid[rows, k] + s_plus
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = thetas[k] + 0.5 * step * (s_minus - s_plus) / curvature
+    theta_ref = np.where(curvature > 0.0, vertex, thetas[k])
+    analytic = optimal_phase_grid(1.0, draws[0], 1.0, draws[1], draws[3])
+    gap = abs(theta_ref % math.pi - analytic) % math.pi
+    worst_phase = np.max(np.minimum(gap, math.pi - gap), initial=0.0)
+    ok = bool(worst_phase <= 1e-6 and worst_floor <= 1e-12)
     return ok, (
         f"max phase gap {worst_phase:.2e} (tol 1e-6); "
         f"max floor violation {worst_floor:.2e}; skipped {skipped} degenerate"
@@ -236,27 +251,20 @@ def check_photon_number_certification(seed=42, fast=False):
 def check_rates_and_bounds(seed=42, fast=False):
     """Rate identities, purity bound and variance floor over a random sweep."""
     rng = np.random.default_rng(seed + 2)
-    count = 200 if fast else 1000
-    worst_sum = 0.0
-    worst_sigma = 0.0
-    worst_floor = 0.0
-    for _ in range(count):
-        params = _draw_params(rng)
-        rates = derive_rates(params)
-        if rates.gamma_x <= 0.0 or rates.gamma_y <= 0.0:
-            return False, f"non-positive quadrature rate at {params}"
-        worst_sum = max(
-            worst_sum,
-            abs(rates.gamma_x + rates.gamma_y - rates.gamma_z) / rates.gamma_z,
-        )
-        state = steady_state(params)
-        worst_sigma = max(worst_sigma, state.sigma - 1.0)
-        worst_floor = max(worst_floor, -0.25 - optimal_variance(state))
+    draws = _draws(rng, 200 if fast else 1000)
+    _, _, gamma_x, gamma_y, gamma_z = decay_rates(1.0, draws[0], 1.0, draws[1])
+    bad = np.flatnonzero((gamma_x <= 0.0) | (gamma_y <= 0.0))
+    if bad.size:
+        return False, f"non-positive quadrature rate at {_params(*draws[:, bad[0]])}"
+    worst_sum = np.max(np.abs(gamma_x + gamma_y - gamma_z) / gamma_z)
+    state = BlochState(*steady_state_grid(1.0, draws[0], 1.0, *draws[1:]))
+    worst_sigma = np.max(state.sigma - 1.0, initial=0.0)
+    worst_floor = np.max(-0.25 - optimal_variance(state), initial=0.0)
     corr_ok = all(
         math.sqrt(n * (n + 1.0)) > n for n in np.linspace(1e-4, 10.0, 100)
     )
-    ok = (worst_sum < 1e-14 and worst_sigma <= 1e-9 and worst_floor <= 1e-9
-          and corr_ok)
+    ok = bool(worst_sum < 1e-14 and worst_sigma <= 1e-9 and worst_floor <= 1e-9
+              and corr_ok)
     return ok, (
         f"rate-sum deviation {worst_sum:.2e}; sigma excess {worst_sigma:.2e}; "
         f"floor violation {worst_floor:.2e}"
@@ -266,17 +274,15 @@ def check_rates_and_bounds(seed=42, fast=False):
 def check_stability_certificate(seed=42, fast=False):
     """The Bloch matrix is Hurwitz across the sweep (positive certificate margins)."""
     rng = np.random.default_rng(seed + 3)
-    count = 200 if fast else 1000
-    worst = np.inf
-    for k in range(count):
-        params = _draw_params(rng)
-        system = build_system(params)
-        margins = routh_hurwitz_margins(system)
-        worst = min(worst, *margins)
-        if k % 10 == 0:
-            if np.linalg.eigvals(system.a_matrix).real.max() >= 0.0:
-                return False, f"unstable matrix at {params}"
-    return worst > 0.0, f"smallest certificate margin {worst:.3e} (must be > 0)"
+    draws = _draws(rng, 200 if fast else 1000)
+    system = system_grid(1.0, draws[0], 1.0, *draws[1:])
+    # the eigenvalues of every tenth matrix, as an independent check
+    tenth = BlochSystem(system.a_matrix[::10], system.b_vector[::10])
+    unstable = np.flatnonzero(spectral_abscissa(tenth) >= 0.0)
+    if unstable.size:
+        return False, f"unstable matrix at {_params(*draws[:, 10 * unstable[0]])}"
+    worst = min(np.min(margin) for margin in routh_hurwitz_margins(system))
+    return bool(worst > 0.0), f"smallest certificate margin {worst:.3e} (must be > 0)"
 
 
 def check_scan_determinism(seed=42, fast=False):

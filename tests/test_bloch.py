@@ -22,7 +22,7 @@ from rfsq.errors import (
     StepTooLargeError,
     ValidationError,
 )
-from rfsq.verify import _draw_params
+from rfsq.verify import _draws, _params
 
 from steady_oracle import solve_steady
 
@@ -238,7 +238,7 @@ def _serial_relax(params, tol):
 class TestRelaxBatch:
     def test_verify_draws_match_the_serial_loop(self):
         rng = np.random.default_rng(42)
-        draws = [_draw_params(rng) for _ in range(1000)]
+        draws = [_params(*point) for point in _draws(rng, 1000).T]
         batched = relax_batch(draws, tol=1e-9)
         assert batched.shape == (1000, 3)
         for params, state in zip(draws, batched):

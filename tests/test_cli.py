@@ -261,6 +261,28 @@ def test_seed_must_be_a_non_negative_integer(capsys, seed):
                    f"non-negative integer, got {seed!r}\n")
 
 
+@pytest.mark.parametrize("argv,ignored", [
+    (("figure", "5", "--omega", "3", "--seed", "7", "--format", "json"),
+     "--omega 3 --seed 7 --format json"),
+    (("scan", "--metric", "s_x", "--axis1", "omega:0:1:4", "--format", "json"),
+     "--format json"),
+    (("verify", "--n", "0.3", "--out", "x", "--format", "csv"),
+     "--n 0.3 --out x --format csv"),
+    (("crossover", "--omega", "5"), "--omega 5"),
+    (("optimize", "--n", "0.125", "--box", "omega:0:3,delta:0:2",
+      "--delta", "1", "--gamma", "2"), "--delta 1 --gamma 2"),
+    (("pure", "--n", "0.125", "--phi", "0.5pi", "--omega", "1"), "--omega 1"),
+])
+def test_flags_a_command_does_not_read_are_rejected(capsys, tmp_path,
+                                                    monkeypatch, argv, ignored):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: Validation: unrecognized arguments: {ignored}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ("scan", "--metric", "s_x", "--axis1", "omega:0:1:4"),
     ("figure", "5"),

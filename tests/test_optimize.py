@@ -24,18 +24,41 @@ from rfsq.errors import ValidationError
 from rfsq.optimize import drive_optima
 from rfsq.verify import _min_over_omega
 
+from search_oracle import scalar_golden_max
+
 BOX = ((0.0, 3.0), (0.0, 2.0))
 
 
 class TestGoldenSection:
     def test_interior_maximum(self):
-        x, fx = golden_section_max(lambda x: -(x - 2.0) ** 2, 1.0, 5.0, xtol=1e-12)
+        x, fx, _ = golden_section_max(lambda x: -(x - 2.0) ** 2, 1.0, 5.0, xtol=1e-12)
         assert x == pytest.approx(2.0, abs=1e-6)
         assert fx == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_maximum(self):
-        x, _ = golden_section_max(lambda x: x, 0.0, 1.0, xtol=1e-12)
+        x, _, _ = golden_section_max(lambda x: x, 0.0, 1.0, xtol=1e-12)
         assert x == pytest.approx(1.0, abs=1e-6)
+
+    def test_array_of_brackets_matches_one_at_a_time(self):
+        # each problem keeps its own bracket, stop test and step count
+        peaks = np.array([2.0, -3.0, 0.5, 7.0, 1e6 + 3.0])
+        lo = np.array([1.0, -10.0, 0.5, 0.0, 1e6])
+        hi = np.array([5.0, 10.0, 3.0, 7.0, 1e6 + 10.0])
+        xtol = np.array([1e-12, 1e-3, 1e-9, 1e-10, 1e-4])
+        x, fx, steps = golden_section_max(lambda t: -(t - peaks) ** 2, lo, hi,
+                                          xtol=xtol, max_iter=60)
+        for k in range(len(peaks)):
+            calls = []
+
+            def f(t, k=k):
+                calls.append(t)
+                return -(t - peaks[k]) ** 2
+
+            want = scalar_golden_max(f, lo[k], hi[k], xtol[k], 60)
+            assert (x[k], fx[k]) == want
+            assert steps[k] + 3 == len(calls)
+        # narrowing 4 to 1e-12 takes 61 iterations: the first stops on the cap
+        assert steps.tolist() == [60, 21, 45, 52, 24]
 
 
 class TestMinimizeVariance:

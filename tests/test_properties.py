@@ -1,0 +1,46 @@
+"""Property-based contracts, drawn by Hypothesis over wide parameter domains."""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from rfsq.optimize import VARIANCE_BOUND, minimize_variance_batch  # noqa: E402
+
+from search_oracle import scalar_search  # noqa: E402
+
+#: the same examples on every run, and no example database on disk
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def box_problems(draw):
+    """One search box with 1 to 6 (N, Phi) problems; a side may be frozen."""
+    size = draw(st.integers(1, 6))
+    n_sq = draw(st.lists(st.floats(1e-6, 1e3), min_size=size, max_size=size))
+    phi = draw(st.lists(st.floats(-4.0 * math.pi, 4.0 * math.pi),
+                        min_size=size, max_size=size))
+    w_lo = draw(st.floats(0.0, 5.0))
+    w_hi = w_lo + draw(st.sampled_from([0.0, 1e-3, 1.0, 50.0]))
+    d_lo = draw(st.floats(-100.0, 100.0))
+    d_hi = d_lo + draw(st.sampled_from([0.0, 1e-6, 0.5, 20.0, 200.0]))
+    return n_sq, phi, ((w_lo, w_hi), (d_lo, d_hi))
+
+
+@PROPERTY_SETTINGS
+@given(box_problems())
+def test_batched_search_is_the_scalar_search_above_the_floor(problems):
+    n_sq, phi, bounds = problems
+    omega, delta, value, n_evals, converged = minimize_variance_batch(
+        n_sq, phi, bounds)
+    for k in range(len(n_sq)):
+        want = scalar_search(n_sq[k], phi[k], bounds)
+        got = (float(omega[k]), float(delta[k]), float(value[k]),
+               int(n_evals[k]), bool(converged[k]))
+        assert [x.hex() for x in got[:3]] == [float(x).hex() for x in want[:3]]
+        assert got[3:] == want[3:]
+    assert np.all(value >= VARIANCE_BOUND - 1e-12)
