@@ -24,7 +24,6 @@ from .metrics import (
     full_report,
     input_vacuum_variance,
     optimal_phase_analytic,
-    optimal_phase_numeric,
     optimal_variance,
     pure_state_variance,
     sphere_angles,
@@ -32,11 +31,9 @@ from .metrics import (
 )
 from .pure import (
     PureStateSolution,
-    condition_phi0,
-    condition_phi_half_pi,
     condition_phi_pi,
     find_pure_curve,
-    maximal_family,
+    pure_state,
     sz_plus_half,
 )
 from .scan import AxisSpec, ScanResult, ScanSpec, scan
@@ -57,10 +54,10 @@ __all__ = [
     "BlochState", "BlochSystem", "build_system", "steady_state",
     "steady_state_grid", "evolve", "relax_to_steady", "spectral_abscissa",
     "SqueezingReport", "full_report", "variance_theta", "optimal_variance",
-    "optimal_phase_analytic", "optimal_phase_numeric", "sphere_angles",
+    "optimal_phase_analytic", "sphere_angles",
     "pure_state_variance", "input_vacuum_variance",
-    "PureStateSolution", "condition_phi0", "condition_phi_half_pi",
-    "condition_phi_pi", "maximal_family", "sz_plus_half", "find_pure_curve",
+    "PureStateSolution", "pure_state", "condition_phi_pi", "sz_plus_half",
+    "find_pure_curve",
     "AxisSpec", "ScanSpec", "ScanResult", "scan",
     "OptimumReport", "minimize_variance", "minimize_variance_batch",
     "find_crossover",

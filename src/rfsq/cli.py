@@ -19,7 +19,6 @@ line 'error: <kind>: <detail>' on stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -32,12 +31,11 @@ from .metrics import full_report
 from .optimize import find_crossover, minimize_variance
 from .params import AtomFieldParams
 from .pure import (
-    condition_phi0,
-    condition_phi_half_pi,
     condition_phi_pi,
     find_pure_curve,
+    is_opposed_phase,
     is_pure_point,
-    maximal_family,
+    pure_state,
 )
 from .bloch import steady_state
 from .scan import AxisSpec, ScanSpec, scan
@@ -200,7 +198,8 @@ def build_parser() -> _Parser:
     _add_params(p_pure, "n_sq", "eta", "phi", "delta")
     _add_output(p_pure)
     p_pure.add_argument("--solve-omega", action="store_true",
-                        help="maximise purity over the drive strength numerically")
+                        help="the drive strength of maximal purity at --delta "
+                        "(closed form, any eta)")
 
     p_cross = sub.add_parser("crossover",
                              help="photon number where output stops beating input")
@@ -291,19 +290,11 @@ def _cmd_pure(args, params: AtomFieldParams) -> int:
             "inputs": params.inputs(),
         })
         return 0
-    if abs(params.phi) < 1e-12:
-        sol = condition_phi0(params.n_sq, eta=params.eta)
-    elif abs(params.phi - math.pi / 2.0) < 1e-12:
-        sol = condition_phi_half_pi(params.n_sq, eta=params.eta)
-    elif abs(params.phi - math.pi) < 1e-12:
-        sol = condition_phi_pi(params.n_sq, params.delta, eta=params.eta)
-    elif params.n_sq == 0.125:
-        sol = maximal_family(params.phi, eta=params.eta)
+    if is_opposed_phase(params.phi):
+        sol = condition_phi_pi(params.n_sq, params.delta, eta=params.eta,
+                               phi=params.phi)
     else:
-        raise ValidationError(
-            "no closed-form condition for this phi and N; "
-            "use --solve-omega to search numerically"
-        )
+        sol = pure_state(params.n_sq, params.phi, eta=params.eta)
     _emit(args, sol.as_dict())
     return 0
 

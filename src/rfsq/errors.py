@@ -31,14 +31,6 @@ class NoConvergenceError(NumericalError):
         self.residual = residual
 
 
-class DegeneratePhaseError(NumericalError):
-    """Coherence is zero, so every quadrature phase ties; none is optimal."""
-
-
-class PhaseOutOfRangeError(ValidationError):
-    """Requested squeezing phase falls outside the analytic family's domain."""
-
-
 class UnitMismatchError(ValidationError):
     """A closed form is only printed for gamma = 1 (and eta = 1) units."""
 

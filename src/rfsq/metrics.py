@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bloch import BlochState, steady_state
-from .errors import DegeneratePhaseError, NumericalError
+from .errors import NumericalError
 from .params import AtomFieldParams, decay_rates, derive_rates
 
 #: coherence below this is treated as zero and every phase ties
@@ -111,16 +111,6 @@ def optimal_phase_analytic(params: AtomFieldParams) -> float:
     """Optimal quadrature phase from the closed form, reduced into [0, pi)."""
     return float(optimal_phase_grid(params.gamma, params.n_sq, params.eta,
                                     params.phi, params.delta))
-
-
-def optimal_phase_numeric(state: BlochState) -> float:
-    """Phase in [0, pi) maximising the squared coherence amplitude."""
-    c2 = state.sx**2 + state.sy**2
-    if c2 <= COHERENCE_FLOOR:
-        raise DegeneratePhaseError(
-            "coherence is zero; all quadrature phases tie"
-        )
-    return math.atan2(-state.sy, state.sx) % math.pi
 
 
 def sphere_angles(params: AtomFieldParams) -> tuple[float, float]:

@@ -1,12 +1,18 @@
 """Drive settings that relax the atom into a pure steady state.
 
-For a given squeezing phase there is a drive (omega, delta) under which
-the damped, driven atom becomes fully polarised (Sigma = 1). Closed
-forms exist for Phi = 0, pi/2 and (asymptotically) pi, and a full
-analytic family at N = 1/8 realises Sigma = 1 together with <sz> = -1/2,
-the combination that saturates the -0.25 variance floor. Away from the
-closed forms, the drive strength that maximises Sigma at a fixed detuning
-is itself a closed form (``optimize.drive_optima``).
+For an ideal reservoir (eta = 1, gamma = 1) and any squeezing phase Phi
+that is not pi (mod 2 pi), one drive makes the damped, driven atom fully
+polarised (Sigma = 1):
+
+    delta = tan(Phi/2) / (4 (N + 1/2 + M)),
+    omega = sqrt(M) / (|cos(Phi/2)| (sqrt(N + 1) + sqrt(N))).
+
+At N = 1/8 the same drive gives <sz> = -1/2, the combination that
+saturates the -0.25 variance floor. At Phi = pi the drive diverges, and
+purity is only approached at large detuning (an asymptotic condition).
+For eta < 1 no drive is pure; the drive strength that maximises Sigma
+at a fixed detuning is a closed form at any eta
+(``optimize.drive_optima``).
 """
 
 from __future__ import annotations
@@ -19,26 +25,25 @@ from .bloch import steady_state, steady_state_grid
 from .errors import (
     AsymptoticConditionWarning,
     NoPureStateError,
-    PhaseOutOfRangeError,
     UnitMismatchError,
     ValidationError,
 )
 from .metrics import sphere_angles
 from .optimize import drive_optima
-from .params import AtomFieldParams, decay_rates, derive_rates
+from .params import TWO_PI, AtomFieldParams, decay_rates
 
-#: photon number of the maximal-squeezing family
-N_MAXIMAL = 0.125
+#: phases this close to pi (mod 2 pi) take the large-detuning condition
+OPPOSED_PHASE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class PureStateSolution:
     """Parameters of a pure-state working point and the purity achieved.
 
-    ``exact`` is True for the analytic conditions; the large-detuning
-    condition is asymptotic and reports the purity actually reached.
-    ``theta_0`` carries the optimal quadrature phase for the
-    maximal-squeezing family.
+    ``exact`` is True for the closed form; the large-detuning condition
+    is asymptotic and reports the purity actually reached. ``theta_0``
+    is the squeezed quadrature phase of the exact pure state (its
+    longitude alpha); the asymptotic condition leaves it None.
     """
 
     phi: float
@@ -60,43 +65,67 @@ def _require_photons(n_sq: float):
         raise ValidationError(f"n_sq must be positive, got {n_sq}")
 
 
-def _solution(phi, n_sq, eta, omega, delta, alpha, exact=True, theta_0=None):
-    """A working point with its sphere colatitude and the purity it reaches."""
-    params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=phi, omega=omega, delta=delta)
+def _solution(params, alpha, beta, exact, theta_0=None) -> PureStateSolution:
+    """A working point with its sphere angles and the purity it reaches."""
     return PureStateSolution(
-        phi=phi, n_sq=n_sq, delta=delta, omega=omega, alpha=alpha,
-        beta=sphere_angles(params)[1], sigma_achieved=steady_state(params).sigma,
-        exact=exact, theta_0=theta_0,
+        phi=params.phi, n_sq=params.n_sq, delta=params.delta,
+        omega=params.omega, alpha=alpha, beta=beta,
+        sigma_achieved=steady_state(params).sigma, exact=exact,
+        theta_0=theta_0,
     )
 
 
-def condition_phi0(n_sq: float, eta: float = 1.0) -> PureStateSolution:
-    """Pure state at Phi = 0: resonant drive with omega = sqrt(M)/(sqrt(N+1)+sqrt(N))."""
+def is_opposed_phase(phi: float) -> bool:
+    """Phi equals pi modulo 2 pi, within OPPOSED_PHASE_TOL."""
+    return abs(math.remainder(phi - math.pi, TWO_PI)) < OPPOSED_PHASE_TOL
+
+
+def pure_state(n_sq: float, phi: float, eta: float = 1.0) -> PureStateSolution:
+    """The drive that makes the steady state pure, at any Phi != pi (mod 2 pi).
+
+    delta = tan(Phi/2) / (4 (N + 1/2 + M)) and omega = sqrt(M) /
+    (|cos(Phi/2)| (sqrt(N+1) + sqrt(N))), for gamma = 1. alpha and beta
+    come from ``metrics.sphere_angles``, and theta_0 = alpha. Raises
+    ValidationError for eta != 1, where no drive is pure, and at
+    Phi = pi, where the drive diverges (see ``condition_phi_pi``).
+    """
     _require_photons(n_sq)
-    m = derive_rates(AtomFieldParams(n_sq=n_sq, eta=eta)).m_corr
-    omega = math.sqrt(m) / (math.sqrt(n_sq + 1.0) + math.sqrt(n_sq))
-    return _solution(0.0, n_sq, eta, omega, 0.0, alpha=math.pi / 2.0)
+    if eta != 1.0:
+        raise ValidationError(
+            f"no drive gives a pure state for eta < 1; the closed form "
+            f"needs eta = 1, got {eta}"
+        )
+    if is_opposed_phase(phi):
+        raise ValidationError(
+            "the pure drive diverges at phi = pi (mod 2 pi); use the "
+            "large-detuning condition, which needs a detuning"
+        )
+    m = math.sqrt(n_sq * (n_sq + 1.0))  # M at eta = 1; inf, not a warning, on overflow
+    half = 0.5 * phi
+    params = AtomFieldParams(
+        n_sq=n_sq, phi=phi,
+        omega=math.sqrt(m) / (abs(math.cos(half))
+                              * (math.sqrt(n_sq + 1.0) + math.sqrt(n_sq))),
+        delta=math.tan(half) / (4.0 * (n_sq + 0.5 + m)),
+    )
+    alpha, beta = sphere_angles(params)
+    return _solution(params, alpha, beta, exact=True, theta_0=alpha)
 
 
-def condition_phi_half_pi(n_sq: float, eta: float = 1.0) -> PureStateSolution:
-    """Pure state at Phi = pi/2: delta = Gamma - gM, omega = sqrt(2M)/(sqrt(N+1)+sqrt(N))."""
-    _require_photons(n_sq)
-    m, q, *_ = decay_rates(1.0, n_sq, eta, 0.0)
-    delta = float(q / (n_sq + 0.5 + m))  # Gamma - gM without cancellation
-    omega = math.sqrt(2.0 * m) / (math.sqrt(n_sq + 1.0) + math.sqrt(n_sq))
-    return _solution(math.pi / 2.0, n_sq, eta, omega, delta, alpha=math.pi / 4.0)
-
-
-def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0) -> PureStateSolution:
+def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0,
+                     phi: float = math.pi) -> PureStateSolution:
     """Asymptotic pure state at Phi = pi for large detuning.
 
     omega = 2 delta sqrt(M)/(sqrt(N+1) - sqrt(N)); purity improves as
     delta grows past Gamma - gM. Warns when delta is below ten times
-    that margin. alpha = 0 is the asymptotic longitude.
+    that margin. alpha = 0 is the asymptotic longitude. ``phi`` may be
+    any phase equal to pi modulo 2 pi; the solution reports it.
     """
     _require_photons(n_sq)
     if delta <= 0.0:
         raise ValidationError(f"delta must be positive, got {delta}")
+    if not is_opposed_phase(phi):
+        raise ValidationError(f"phi must equal pi modulo 2 pi, got {phi}")
     m, q, *_ = decay_rates(1.0, n_sq, eta, 0.0)
     margin = q / (n_sq + 0.5 + m)  # Gamma - gM without cancellation
     if delta < 10.0 * margin:
@@ -107,34 +136,9 @@ def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0) -> PureStateSo
             stacklevel=2,
         )
     omega = 2.0 * delta * math.sqrt(m) / (math.sqrt(n_sq + 1.0) - math.sqrt(n_sq))
-    return _solution(math.pi, n_sq, eta, omega, delta, alpha=0.0, exact=False)
-
-
-def maximal_family(phi: float, eta: float = 1.0) -> PureStateSolution:
-    """Maximal-squeezing working point at N = 1/8 for a given phase.
-
-    With t = tan(phi/2) the drive delta = t/4, omega = sqrt(3(1+t^2))/4
-    yields Sigma = 1 and <sz> = -1/2 simultaneously, hence a variance of
-    exactly -0.25 in the theta_0 = atan2(1, t) quadrature. The family
-    diverges at phi = pi (delta -> inf with omega -> sqrt(3) * delta),
-    which is reported as out of range.
-    """
-    if not 0.0 <= phi < 2.0 * math.pi:
-        raise PhaseOutOfRangeError(f"phi must lie in [0, 2*pi), got {phi}")
-    if abs(phi - math.pi) < 1e-8:
-        raise PhaseOutOfRangeError(
-            "the family diverges at phi = pi: delta grows without bound "
-            "with omega -> sqrt(3) * delta; use the large-detuning "
-            "condition instead"
-        )
-    if eta != 1.0:
-        raise ValidationError("the maximal-squeezing family requires eta = 1")
-    t = math.tan(phi / 2.0)
-    delta = t / 4.0
-    omega = 0.25 * math.sqrt(3.0 * (1.0 + t * t))
-    theta_0 = math.atan2(1.0, t)
-    return _solution(phi, N_MAXIMAL, eta, omega, delta, alpha=theta_0,
-                     theta_0=theta_0)
+    params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=phi, omega=omega,
+                             delta=delta)
+    return _solution(params, 0.0, sphere_angles(params)[1], exact=False)
 
 
 def sz_plus_half(params: AtomFieldParams) -> float:

@@ -175,10 +175,55 @@ def test_pure_solver(capsys):
     assert payload["pure"] is True
 
 
-def test_pure_without_closed_form_suggests_solver(capsys):
-    code, _, err = run(capsys, "pure", "--n", "0.3", "--phi", "0.3pi")
+def test_pure_closed_form_at_any_phase(capsys):
+    for n_sq, phi in (("0.2", "0.3pi"), ("0.3", "0.3pi"), ("1e-6", "1.9pi"),
+                      ("1e3", "0.999pi"), ("5", "-4")):
+        code, out, _ = run(capsys, "pure", "--n", n_sq, "--phi", phi)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["exact"] is True
+        assert abs(payload["sigma_achieved"] - 1.0) <= 1e-12
+        assert payload["theta_0"] == payload["alpha"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phi", ["0", "0.5pi", "0.3pi"])
+def test_pure_at_an_overflowing_photon_number_fails_cleanly(capsys, phi):
+    # N (N + 1) overflows: one error line, no numpy warning before it
+    code, out, err = run(capsys, "pure", "--n", "1e200", "--phi", phi)
     assert code == 1
-    assert err.startswith("error: Validation:")
+    assert out == ""
+    assert err == "error: Validation: omega must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("phi", ["0", "0.5pi", "0.3pi"])
+def test_pure_rejects_a_non_ideal_reservoir(capsys, phi):
+    code, out, err = run(capsys, "pure", "--n", "0.2", "--phi", phi,
+                         "--eta", "0.9")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: Validation: no drive gives a pure state")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("phi,expected,extra", [
+    ("2pi", 2.0 * math.pi, ()),
+    ("-0.3pi", -0.3 * math.pi, ()),
+    ("3pi", 3.0 * math.pi, ("--delta", "12.5")),
+    ("-pi", -math.pi, ("--delta", "12.5")),
+])
+def test_pure_reduces_the_phase_modulo_two_pi(capsys, phi, expected, extra):
+    code, out, _ = run(capsys, "pure", "--n", "0.125", "--phi", phi, *extra)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["phi"] == expected
+    # pi (mod 2 pi) takes the large-detuning condition, omega = sqrt(3) delta
+    assert payload["exact"] is not bool(extra)
+    if extra:
+        assert payload["omega"] == pytest.approx(12.5 * math.sqrt(3.0), rel=1e-12)
+        assert payload["sigma_achieved"] == pytest.approx(1.0, abs=2e-3)
+    else:
+        assert abs(payload["sigma_achieved"] - 1.0) <= 1e-12
 
 
 def test_pure_solver_failure_is_numerical(capsys):

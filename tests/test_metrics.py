@@ -11,15 +11,15 @@ from rfsq import (
     full_report,
     input_vacuum_variance,
     optimal_phase_analytic,
-    optimal_phase_numeric,
     optimal_variance,
+    pure_state,
     pure_state_variance,
     sphere_angles,
     steady_state,
     variance_theta,
 )
-from rfsq.errors import DegeneratePhaseError
-from rfsq.pure import condition_phi_half_pi
+
+from phase_oracle import DegeneratePhaseError, optimal_phase_numeric
 
 MAX_SQUEEZED = BlochState(0.0, math.sqrt(3.0) / 2.0, -0.5)
 
@@ -64,7 +64,7 @@ class TestOptimalPhase:
         assert optimal_phase_numeric(BlochState(1.0, 0.0, 0.0)) == 0.0
 
     def test_numeric_matches_analytic_at_quarter_phase_point(self):
-        sol = condition_phi_half_pi(0.125)
+        sol = pure_state(0.125, math.pi / 2.0)
         state = steady_state(AtomFieldParams(
             n_sq=0.125, phi=sol.phi, omega=sol.omega, delta=sol.delta))
         assert optimal_phase_numeric(state) == pytest.approx(
@@ -153,7 +153,7 @@ class TestVarianceLaws:
     def test_pure_state_variance_against_full_solver(self):
         # the closed law must match the solved pure state end to end
         for n in (0.05, 0.1, 0.5, 1.2):
-            sol = condition_phi_half_pi(n)
+            sol = pure_state(n, math.pi / 2.0)
             state = steady_state(AtomFieldParams(
                 n_sq=n, phi=sol.phi, omega=sol.omega, delta=sol.delta))
             assert pure_state_variance(n) == pytest.approx(

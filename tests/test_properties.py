@@ -8,7 +8,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from rfsq.bloch import steady_state  # noqa: E402
+from rfsq.metrics import (  # noqa: E402
+    optimal_phase_analytic, optimal_variance, pure_state_variance)
 from rfsq.optimize import VARIANCE_BOUND, minimize_variance_batch  # noqa: E402
+from rfsq.params import AtomFieldParams  # noqa: E402
+from rfsq.pure import pure_state  # noqa: E402
 
 from search_oracle import scalar_search  # noqa: E402
 
@@ -44,3 +49,31 @@ def test_batched_search_is_the_scalar_search_above_the_floor(problems):
         assert [x.hex() for x in got[:3]] == [float(x).hex() for x in want[:3]]
         assert got[3:] == want[3:]
     assert np.all(value >= VARIANCE_BOUND - 1e-12)
+
+
+def _distance_from_pi(phi):
+    return abs(math.remainder(phi - math.pi, 2.0 * math.pi))
+
+
+#: any phase in [-4 pi, 4 pi], or one within 1e-6..1 of pi (mod 2 pi),
+#: kept only at least 1e-6 from pi
+pure_phases = st.one_of(
+    st.floats(-4.0 * math.pi, 4.0 * math.pi),
+    st.builds(lambda turns, side, exponent: (2 * turns + 1) * math.pi
+              + side * 10.0**exponent,
+              st.integers(-2, 1), st.sampled_from([-1.0, 1.0]),
+              st.floats(-6.0, 0.0)),
+).filter(lambda phi: _distance_from_pi(phi) >= 1e-6)
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(1e-6, 1e3), pure_phases)
+def test_pure_state_is_pure_with_the_pure_state_variance(n_sq, phi):
+    sol = pure_state(n_sq, phi)
+    params = AtomFieldParams(n_sq=n_sq, phi=phi, omega=sol.omega, delta=sol.delta)
+    state = steady_state(params)
+    assert abs(sol.sigma_achieved - 1.0) <= 1e-12
+    assert abs(state.sigma - 1.0) <= 1e-12
+    assert abs(optimal_variance(state) - pure_state_variance(n_sq)) <= 1e-12
+    # the longitude is the optimal quadrature phase
+    assert sol.alpha % math.pi == optimal_phase_analytic(params)

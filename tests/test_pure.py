@@ -1,4 +1,4 @@
-"""Pure-state drive conditions and the maximal-squeezing family."""
+"""Pure-state drives: the closed form at any phase and the asymptotic one at pi."""
 
 import math
 import warnings
@@ -8,13 +8,11 @@ import pytest
 
 from rfsq import (
     AtomFieldParams,
-    condition_phi0,
-    condition_phi_half_pi,
     condition_phi_pi,
     find_pure_curve,
-    maximal_family,
     minimize_variance,
     optimal_variance,
+    pure_state,
     steady_state,
     sz_plus_half,
     variance_theta,
@@ -23,10 +21,11 @@ from rfsq.optimize import drive_optima
 from rfsq.errors import (
     AsymptoticConditionWarning,
     NoPureStateError,
-    PhaseOutOfRangeError,
     UnitMismatchError,
     ValidationError,
 )
+
+from pure_oracle import drive_n_eighth, drive_phi0, drive_phi_half_pi
 
 
 def params_of(sol):
@@ -36,51 +35,90 @@ def params_of(sol):
 
 class TestConditionZeroPhase:
     def test_special_photon_number(self):
-        sol = condition_phi0(0.125)
+        sol = pure_state(0.125, 0.0)
         assert sol.omega == pytest.approx(math.sqrt(3.0) / 4.0, abs=1e-15)
         assert sol.delta == 0.0
         assert sol.alpha == math.pi / 2.0
         assert sol.sigma_achieved == pytest.approx(1.0, abs=1e-9)
 
     def test_half_photon(self):
-        sol = condition_phi0(0.5)
+        sol = pure_state(0.5, 0.0)
         assert sol.omega == pytest.approx(0.4817165220011426, abs=1e-12)
         assert sol.sigma_achieved == pytest.approx(1.0, abs=1e-9)
 
     def test_weak_reservoir_limit(self):
-        assert condition_phi0(1e-10).omega < 1e-2
+        assert pure_state(1e-10, 0.0).omega < 1e-2
         with pytest.raises(ValidationError):
-            condition_phi0(0.0)
+            pure_state(0.0, 0.0)
 
 
 class TestConditionQuarterPhase:
     def test_special_photon_number(self):
-        sol = condition_phi_half_pi(0.125)
+        sol = pure_state(0.125, math.pi / 2.0)
         assert sol.delta == pytest.approx(0.25, abs=1e-15)
         assert sol.omega == pytest.approx(math.sqrt(6.0) / 4.0, abs=1e-15)
-        assert sol.alpha == math.pi / 4.0
+        # alpha is atan2(gamma_x, delta + M sin Phi), one ulp above pi/4
+        assert sol.alpha == pytest.approx(math.pi / 4.0, abs=2e-16)
         assert sol.sigma_achieved == pytest.approx(1.0, abs=1e-9)
 
     def test_small_photon_number(self):
-        sol = condition_phi_half_pi(0.05)
+        sol = pure_state(0.05, math.pi / 2.0)
         assert sol.delta == pytest.approx(0.3208712152522081, abs=1e-12)
         assert sol.omega == pytest.approx(0.5422945015811449, abs=1e-12)
         assert sol.sigma_achieved == pytest.approx(1.0, abs=1e-9)
 
     def test_weak_reservoir_limit(self):
-        sol = condition_phi_half_pi(1e-10)
+        sol = pure_state(1e-10, math.pi / 2.0)
         assert sol.delta == pytest.approx(0.5, abs=1e-4)
         assert sol.omega < 1e-2
 
     @pytest.mark.parametrize("n_sq", [10.0, 1e3])
-    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    @pytest.mark.parametrize("eta", [1.0])  # no drive is pure for eta < 1
     def test_detuning_is_accurate_at_large_photon_number(self, n_sq, eta):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
             n = mpmath.mpf(n_sq)
             exact = n + mpmath.mpf(1) / 2 - mpmath.mpf(eta) * mpmath.sqrt(n * (n + 1))
-            delta = condition_phi_half_pi(n_sq, eta=eta).delta
+            delta = pure_state(n_sq, math.pi / 2.0, eta=eta).delta
             assert abs(delta - exact) <= 1e-15 * abs(exact)
+
+
+class TestPureState:
+    def test_matches_the_special_case_formulas(self):
+        cases = [(n, 0.0, drive_phi0(n)) for n in (1e-6, 0.01, 0.3, 0.5, 3.0, 1e3)]
+        cases += [(n, math.pi / 2.0, drive_phi_half_pi(n))
+                  for n in (1e-6, 0.05, 0.125, 1.5, 10.0, 1e3)]
+        cases += [(0.125, float(phi), drive_n_eighth(float(phi)))
+                  for phi in np.linspace(0.0, 2.0 * math.pi, 201)
+                  if abs(phi - math.pi) > 1e-3]
+        for n_sq, phi, (delta, omega, alpha) in cases:
+            sol = pure_state(n_sq, phi)
+            assert sol.delta == pytest.approx(delta, rel=1e-15, abs=0.0)
+            assert sol.omega == pytest.approx(omega, rel=1e-15)
+            assert sol.alpha == pytest.approx(alpha, rel=1e-15)
+            assert sol.exact and sol.theta_0 == sol.alpha
+
+    def test_rejects_a_non_ideal_reservoir(self):
+        for phi in (0.0, math.pi / 2.0, 1.0, 3.0 * math.pi / 2.0):
+            for eta in (0.0, 0.5, 0.999999):
+                with pytest.raises(ValidationError, match="eta"):
+                    pure_state(0.2, phi, eta=eta)
+
+    def test_drive_is_pinned_at_fifty_digits(self):
+        mpmath = pytest.importorskip("mpmath")
+        phases = (0.0, 0.3, math.pi / 2.0, 2.0, 3.1, -1.0, 4.5, 3.0 * math.pi / 2.0)
+        with mpmath.workdps(50):
+            for n_sq in (1e-6, 0.125, 10.0, 1e3):
+                n = mpmath.mpf(n_sq)
+                m = mpmath.sqrt(n * (n + 1))
+                for phi in phases:
+                    half = mpmath.mpf(phi) / 2
+                    delta = mpmath.tan(half) / (4 * (n + mpmath.mpf(1) / 2 + m))
+                    omega = mpmath.sqrt(m) / (
+                        abs(mpmath.cos(half)) * (mpmath.sqrt(n + 1) + mpmath.sqrt(n)))
+                    sol = pure_state(n_sq, phi)
+                    assert abs(sol.delta - delta) <= 1e-15 * abs(delta)
+                    assert abs(sol.omega - omega) <= 1e-15 * omega
 
 
 class TestConditionOpposedPhase:
@@ -115,27 +153,27 @@ class TestConditionOpposedPhase:
 
 class TestMaximalFamily:
     def test_quarter_phase_member(self):
-        sol = maximal_family(math.pi / 2.0)
+        sol = pure_state(0.125, math.pi / 2.0)
         assert sol.delta == pytest.approx(0.25, abs=1e-15)
         assert sol.omega == pytest.approx(math.sqrt(6.0) / 4.0, abs=1e-15)
         assert sol.theta_0 == pytest.approx(math.pi / 4.0, abs=1e-15)
 
     def test_zero_phase_limit_recovers_resonant_condition(self):
-        sol = maximal_family(0.0)
+        sol = pure_state(0.125, 0.0)
         assert sol.delta == 0.0
         assert sol.omega == pytest.approx(math.sqrt(3.0) / 4.0, abs=1e-15)
         assert sol.theta_0 == pytest.approx(math.pi / 2.0)
 
     def test_steep_member(self):
         phi = 2.0 * math.atan(4.0)
-        sol = maximal_family(phi)
+        sol = pure_state(0.125, phi)
         assert sol.delta == pytest.approx(1.0, abs=1e-12)
         assert sol.omega == pytest.approx(math.sqrt(51.0) / 4.0, abs=1e-12)
         assert sol.theta_0 == pytest.approx(math.atan(0.25), abs=1e-12)
 
     def test_floor_is_reached_along_the_family(self):
         for phi in np.linspace(0.05, math.pi - 0.05, 100):
-            sol = maximal_family(float(phi))
+            sol = pure_state(0.125, float(phi))
             state = steady_state(params_of(sol))
             assert abs(state.sigma - 1.0) < 1e-9
             assert abs(state.sz + 0.5) < 1e-9
@@ -143,19 +181,25 @@ class TestMaximalFamily:
             assert abs(variance_theta(state, sol.theta_0) + 0.25) < 1e-9
 
     def test_reflex_phases_are_supported(self):
-        sol = maximal_family(3.0 * math.pi / 2.0)
+        sol = pure_state(0.125, 3.0 * math.pi / 2.0)
         assert sol.delta == pytest.approx(-0.25, abs=1e-12)
         state = steady_state(params_of(sol))
         assert abs(state.sigma - 1.0) < 1e-9
         assert abs(variance_theta(state, sol.theta_0) + 0.25) < 1e-9
 
     def test_divergent_phase_is_rejected(self):
-        with pytest.raises(PhaseOutOfRangeError) as err:
-            maximal_family(math.pi)
-        assert "sqrt(3)" in str(err.value)
+        # the drive diverges at pi (mod 2 pi); phases outside [0, 2 pi)
+        # give the drive of the same phase reduced into it
+        for phi in (math.pi, -math.pi, 3.0 * math.pi, math.pi + 1e-13):
+            with pytest.raises(ValidationError, match="large-detuning"):
+                pure_state(0.125, phi)
         for phi in (-0.1, 2.0 * math.pi, 7.0):
-            with pytest.raises(PhaseOutOfRangeError):
-                maximal_family(phi)
+            sol = pure_state(0.125, phi)
+            reduced = pure_state(0.125, phi % (2.0 * math.pi))
+            assert sol.phi == phi
+            assert sol.delta == pytest.approx(reduced.delta, rel=1e-12, abs=1e-15)
+            assert sol.omega == pytest.approx(reduced.omega, rel=1e-14)
+            assert sol.theta_0 == pytest.approx(reduced.theta_0, rel=1e-14)
 
 
 class TestSzPlusHalf:
@@ -206,9 +250,10 @@ class TestFindPureCurve:
         assert sigma >= 1.0 - 1e-7
 
     def test_purity_optimum_reproduces_the_closed_form_drives(self):
-        sols = [condition_phi0(n) for n in (0.01, 0.125, 0.7, 3.0)]
-        sols += [condition_phi_half_pi(n) for n in (0.05, 0.125, 1.5, 10.0)]
-        sols += [maximal_family(float(phi))
+        sols = [pure_state(n, 0.0) for n in (0.01, 0.125, 0.7, 3.0)]
+        sols += [pure_state(n, math.pi / 2.0) for n in (0.05, 0.125, 1.5, 10.0)]
+        sols += [pure_state(n, float(phi))
+                 for n in (0.02, 0.125, 0.6)
                  for phi in np.linspace(0.05, 2.0 * math.pi - 0.05, 25)
                  if abs(phi - math.pi) > 1e-3]
         for sol in sols:
@@ -230,9 +275,9 @@ class TestFindPureCurve:
 def test_pure_points_lie_on_the_reported_sphere_angles():
     # at a pure point the steady vector is the fully polarised state
     # (-cos(alpha) sin(beta), sin(alpha) sin(beta), cos(beta))
-    sols = [condition_phi0(0.3), condition_phi_half_pi(0.3),
-            condition_phi_half_pi(1.5), maximal_family(0.8 * math.pi),
-            maximal_family(0.3)]
+    sols = [pure_state(0.3, 0.0), pure_state(0.3, math.pi / 2.0),
+            pure_state(1.5, math.pi / 2.0), pure_state(0.125, 0.8 * math.pi),
+            pure_state(0.125, 0.3), pure_state(0.7, 4.0)]
     for sol in sols:
         state = steady_state(params_of(sol))
         expected = np.array([
