@@ -1,19 +1,17 @@
 """Squeezing in the resonance fluorescence of a driven atom in a squeezed vacuum.
 
-Library surface: physical parameters and derived rates, steady states of
-the modified optical Bloch equations (closed form plus a time-domain
-oracle), quadrature-variance metrics, pure-state drive conditions, grid
-scans, optimum finding and figure-dataset emission. The `rfsq` CLI wraps
-the same operations.
+Library surface: physical parameters, steady states of the modified
+optical Bloch equations (the closed form, and relaxation under the RK4
+map as a time-domain oracle), quadrature-variance metrics, pure-state
+drive conditions, grid scans, optimum finding and figure-dataset
+emission. The `rfsq` CLI wraps the same operations.
 """
 
 from ._version import __version__
-from .params import AtomFieldParams, DerivedRates, derive_rates
+from .params import AtomFieldParams
 from .bloch import (
     BlochState,
     BlochSystem,
-    build_system,
-    evolve,
     relax_to_steady,
     spectral_abscissa,
     steady_state,
@@ -50,9 +48,9 @@ from . import backends, errors
 
 __all__ = [
     "__version__",
-    "AtomFieldParams", "DerivedRates", "derive_rates",
-    "BlochState", "BlochSystem", "build_system", "steady_state",
-    "steady_state_grid", "evolve", "relax_to_steady", "spectral_abscissa",
+    "AtomFieldParams",
+    "BlochState", "BlochSystem", "steady_state", "steady_state_grid",
+    "relax_to_steady", "spectral_abscissa",
     "SqueezingReport", "full_report", "variance_theta", "optimal_variance",
     "optimal_phase_analytic", "sphere_angles",
     "pure_state_variance", "input_vacuum_variance",

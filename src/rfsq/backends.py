@@ -32,15 +32,23 @@ CHECK_STRIDE = 16
 
 
 def steady_grid(gamma, n_sq, eta, phi, omega, delta):
-    """Steady Bloch vector (sx, sy, sz) over scalars or broadcastable arrays."""
+    """Steady Bloch vector (sx, sy, sz) over scalars or broadcastable arrays.
+
+    When L = gamma^2 q + delta^2 and omega^2 both overflow the state is
+    NaN. When only omega^2 overflows it is the strong-drive limit (0, 0, 0);
+    when only L does, the undriven state, which is the limit only while
+    omega^2 gx stays small against L.
+    """
     m, q, gx, _, gz = decay_rates(gamma, n_sq, eta, phi)
     u = delta + gamma * m * np.sin(phi)
     # gx gy + u v = gamma^2 q + delta^2, with v = delta - gamma M sin(phi)
     lorentz = gamma * gamma * q + delta * delta
-    den = gz * lorentz + omega * omega * gx
-    sy = omega * gamma * gx / den
+    # sz = -gamma L / D and sy = omega gamma gx / D, with D = gz L + omega^2 gx;
+    # divided through by L, neither needs the cancelling (omega sy - gamma) / gz
+    gx_l = gx / lorentz
+    sz = -gamma / (gz + omega * omega * gx_l)
+    sy = -omega * gx_l * sz
     sx = -u * sy / gx
-    sz = (omega * sy - gamma) / gz
     return sx, sy, sz
 
 

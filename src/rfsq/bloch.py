@@ -8,11 +8,11 @@ ds/dt = A s + b with
          [ 0,                   omega,              -gamma_z]],
     b = (0, 0, -gamma),
 
-where g M is shorthand for gamma * m_corr. A is Hurwitz for every valid
+where g M is shorthand for gamma * M. A is Hurwitz for every valid
 parameter set (Routh-Hurwitz margins are strictly positive), so the
 steady state is unique and attracting. It is computed in closed form
-(``backends.steady_grid``); a fixed-step RK4 integrator provides an
-independent time-domain oracle.
+(``backends.steady_grid``); relaxation under the fixed-step RK4 map
+(``relax_batch``) provides an independent time-domain oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     StepTooLargeError,
     ValidationError,
 )
-from .params import AtomFieldParams, decay_rates, derive_rates
+from .params import AtomFieldParams, decay_rates
 
 #: instability sentinel: no physical Bloch component can approach this
 BLOW_LIMIT = 10.0
@@ -40,7 +40,7 @@ class BlochState:
     """Bloch vector (<sx>, <sy>, <sz>) of the two-level atom.
 
     The components are floats, or arrays of one shape for a stack of
-    states, which ``sigma`` and ``metrics.optimal_variance`` also take.
+    states; ``sigma`` and ``s_opt`` are then arrays too.
     """
 
     sx: float
@@ -52,12 +52,13 @@ class BlochState:
         """Squared Bloch-vector length; 1 marks a pure (fully polarised) state."""
         return self.sx * self.sx + self.sy * self.sy + self.sz * self.sz
 
+    @property
+    def s_opt(self) -> float:
+        """Variance of the optimal quadrature (see ``metrics``); -1/4 is the floor."""
+        return 1.0 + self.sz - self.sx * self.sx - self.sy * self.sy
+
     def as_array(self) -> np.ndarray:
         return np.array([self.sx, self.sy, self.sz])
-
-    @classmethod
-    def from_array(cls, arr) -> "BlochState":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
 
     @classmethod
     def ground(cls) -> "BlochState":
@@ -70,11 +71,6 @@ class BlochSystem:
 
     a_matrix: np.ndarray
     b_vector: np.ndarray
-
-
-def build_system(params: AtomFieldParams) -> BlochSystem:
-    """Assemble the Bloch coefficient matrix and drive vector."""
-    return system_grid(**params.inputs())
 
 
 def system_grid(gamma, n_sq, eta, phi, omega, delta) -> BlochSystem:
@@ -127,58 +123,12 @@ def steady_state_grid(gamma, n_sq, eta, phi, omega, delta):
     )
 
 
-def default_step(params: AtomFieldParams) -> float:
-    """Default integrator step, small against every frequency in the system."""
-    rates = derive_rates(params)
-    return 0.01 / max(1.0, params.omega, abs(params.delta), rates.gamma_z)
+def routh_hurwitz_margins(system: BlochSystem):
+    """Stability certificate (c2, c0, c2*c1 - c0); all positive iff Hurwitz.
 
-
-def evolve(
-    params: AtomFieldParams,
-    s0: BlochState,
-    t_final: float,
-    dt: float | None = None,
-) -> list[tuple[float, BlochState]]:
-    """Classic fixed-step RK4 trajectory from s0 over [0, t_final].
-
-    Each step applies the one-step RK4 map ``s -> E s + c`` of the linear
-    system (``backends.rk4_affine_map``).
-
-    Returns the ordered list of (t, state) samples including both
-    endpoints. Raises StepTooLargeError if any component leaves the
-    physical ball (instability sentinel).
-    """
-    if dt is None:
-        dt = default_step(params)
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    if t_final < 0.0:
-        raise ValidationError(f"t_final must be non-negative, got {t_final}")
-    system = build_system(params)
-    a = system.a_matrix
-    b = system.b_vector
-    e, c = backends.rk4_affine_map(a, b, dt)
-    s = s0.as_array()
-    out = [(0.0, s0)]
-    n_full = int(t_final / dt)
-    remainder = t_final - n_full * dt
-    for i in range(n_full + (remainder > 0.0)):
-        if i == n_full:  # the final partial step gets its own map
-            e, c = backends.rk4_affine_map(a, b, remainder)
-        s = e @ s + c
-        t = (i + 1) * dt if i < n_full else t_final
-        if np.abs(s).max() > BLOW_LIMIT:
-            raise StepTooLargeError(
-                f"state magnitude exceeded {BLOW_LIMIT} at t = {t:.6g}; reduce dt"
-            )
-        out.append((t, BlochState.from_array(s)))
-    return out
-
-
-def characteristic_coefficients(system: BlochSystem):
-    """Coefficients (c2, c1, c0) of det(lam*I - A) = lam^3 + c2 lam^2 + c1 lam + c0.
-
-    Over a stack of systems (a_matrix (..., 3, 3)) each is an array.
+    c2, c1 and c0 are the coefficients of det(lam*I - A) = lam^3 + c2 lam^2
+    + c1 lam + c0. Over a stack of systems (a_matrix (..., 3, 3)) each
+    margin is an array.
     """
     a = system.a_matrix
     c2 = -np.trace(a, axis1=-2, axis2=-1)
@@ -188,15 +138,6 @@ def characteristic_coefficients(system: BlochSystem):
         + a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1]
     )
     c0 = -np.linalg.det(a)
-    return c2, c1, c0
-
-
-def routh_hurwitz_margins(system: BlochSystem):
-    """Stability certificate (c2, c0, c2*c1 - c0); all positive iff Hurwitz.
-
-    Over a stack of systems each margin is an array.
-    """
-    c2, c1, c0 = characteristic_coefficients(system)
     return c2, c0, c2 * c1 - c0
 
 
@@ -225,7 +166,7 @@ def relax_to_steady(
     reaching the target (reports the residual).
     """
     start = None if s0 is None else s0.as_array()
-    return BlochState.from_array(relax_batch([params], start, tol)[0])
+    return BlochState(*relax_batch([params], start, tol)[0].tolist())
 
 
 def relax_batch(params_seq, s0=None, tol: float = 1e-10) -> np.ndarray:

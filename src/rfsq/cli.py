@@ -13,14 +13,17 @@ verification failure, 141 stdout closed by its reader (as after a
 SIGPIPE). An output path that cannot be written (an --out under a file,
 or naming a directory) exits 1 with the operating system's reason as
 its kind, such as 'error: IsADirectory: ...'. Errors print a single
-line 'error: <kind>: <detail>' on stderr.
+line 'error: <kind>: <detail>' on stderr, and warnings one line each,
+'warning: <kind>: <detail>'.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from ._version import __version__
@@ -148,7 +151,12 @@ def _parse_box(text: str):
             raise ValidationError(
                 f"box side must look like name:lo:hi, got {chunk!r}"
             )
-        sides[parts[0]] = (float(parts[1]), float(parts[2]))
+        name, bounds = parts[0], (float(parts[1]), float(parts[2]))
+        if name in sides:
+            raise ValidationError(f"box side {name} is given twice")
+        if not all(map(math.isfinite, bounds)):
+            raise ValidationError(f"box {name} bounds must be finite, got {chunk!r}")
+        sides[name] = bounds
     if set(sides) != {"omega", "delta"}:
         raise ValidationError(
             f"box must give omega and delta ranges, got {sorted(sides)}"
@@ -320,12 +328,20 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as one line, 'warning: <kind>: <detail>', on stderr."""
+    kind = category.__name__.removesuffix("Warning")
+    print(f"warning: {kind}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         params = AtomFieldParams(**{name: value for name, value in vars(args).items()
                                     if name in _PARAM_FLAGS})
-        code = _COMMANDS[args.command](args, params)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            code = _COMMANDS[args.command](args, params)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -17,8 +17,6 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ValidationError
 from .io import write_csv, write_json
 from .metrics import input_vacuum_variance, pure_state_variance
@@ -70,11 +68,8 @@ def build_figure(n: int):
     elif n == 5:
         axis = AxisSpec("n_sq", 0.001, 1.5, 600)
         ns = axis.values
-        columns = {
-            "n_sq": ns,
-            "s_ps": np.array([pure_state_variance(v) for v in ns]),
-            "s_sv": np.array([input_vacuum_variance(v) for v in ns]),
-        }
+        columns = {"n_sq": ns, "s_ps": pure_state_variance(ns),
+                   "s_sv": input_vacuum_variance(ns)}
         meta = scan_metadata("s_ps,s_sv", [axis], AtomFieldParams(), [])
     elif n == 6:
         columns, meta = _surface(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bloch import BlochState, steady_state
 from .errors import NumericalError
-from .params import AtomFieldParams, decay_rates, derive_rates
+from .params import AtomFieldParams, decay_rates
 
 #: coherence below this is treated as zero and every phase ties
 COHERENCE_FLOOR = 1e-20
@@ -73,12 +73,13 @@ def variance_theta(state: BlochState, theta: float) -> float:
 
 
 def optimal_variance(state: BlochState) -> float:
-    """Minimal variance over the quadrature phase.
+    """Minimal variance over the quadrature phase, ``state.s_opt``, checked.
 
-    Polymorphic: a state whose components are arrays gives an array, and
-    the identity check must then hold at every point.
+    Raises NumericalError where s_opt departs from the equivalent form
+    <sz>(1 + <sz>) + 1 - Sigma. Polymorphic: a state whose components are
+    arrays gives an array, and the check must then hold at every point.
     """
-    value = 1.0 + state.sz - state.sx**2 - state.sy**2
+    value = state.s_opt
     alt = state.sz * (1.0 + state.sz) + 1.0 - state.sigma
     err = abs(value - alt)
     # err > 1e-14 max(1, |value|), in operators that keep float components
@@ -99,12 +100,18 @@ def optimal_variance(state: BlochState) -> float:
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
+def _longitude(gamma, n_sq, eta, phi, delta):
+    """(alpha, M): the optimal quadrature phase before reduction, and M."""
+    m, _, gamma_x, _, _ = decay_rates(gamma, n_sq, eta, phi)
+    # gamma_x > 0 always, so alpha lands in (0, pi), at pi/2 for a zero
+    # second argument
+    alpha = _atan2(gamma_x, delta + gamma * m * np.sin(phi))
+    return np.asarray(alpha, dtype=float), m
+
+
 def optimal_phase_grid(gamma, n_sq, eta, phi, delta):
     """Optimal quadrature phase in [0, pi) over scalars or broadcastable arrays."""
-    m, _, gamma_x, _, _ = decay_rates(gamma, n_sq, eta, phi)
-    den = delta + gamma * m * np.sin(phi)
-    # gamma_x > 0 always, so atan2 already lands in (0, pi), at pi/2 for den = 0
-    return np.asarray(_atan2(gamma_x, den), dtype=float) % math.pi
+    return _longitude(gamma, n_sq, eta, phi, delta)[0] % math.pi
 
 
 def optimal_phase_analytic(params: AtomFieldParams) -> float:
@@ -120,45 +127,44 @@ def sphere_angles(params: AtomFieldParams) -> tuple[float, float]:
     [0, pi); beta is the colatitude fixed by the reservoir, with the
     undriven N = 0 corner mapped to the south pole (beta = pi).
     """
-    rates = derive_rates(params)
-    gm_sin = params.gamma * rates.m_corr * math.sin(params.phi)
-    alpha = math.atan2(rates.gamma_x, params.delta + gm_sin)
-    m, n = rates.m_corr, params.n_sq
+    alpha, m = _longitude(params.gamma, params.n_sq, params.eta, params.phi,
+                          params.delta)
+    alpha, m, n = float(alpha), float(m), params.n_sq
     if m + n == 0.0:
         return alpha, math.pi
-    beta = math.acos(-(m - n) / (m + n))
-    return alpha, beta
+    return alpha, math.acos(-(m - n) / (m + n))
 
 
-def pure_state_variance(n_sq: float, eta: float = 1.0) -> float:
+def pure_state_variance(n_sq, eta=1.0):
     """Optimal-quadrature variance radiated from the pure steady state.
 
     Equals (N - M) / (N + M + 1/2); for an ideal reservoir this is also
-    <sz>(1 + <sz>) with <sz> = (N - M)/(N + M).
+    <sz>(1 + <sz>) with <sz> = (N - M)/(N + M). Polymorphic over scalars
+    and broadcastable arrays.
     """
-    m = derive_rates(AtomFieldParams(n_sq=n_sq, eta=eta)).m_corr
+    m = decay_rates(1.0, n_sq, eta, 0.0)[0]
     return (n_sq - m) / (n_sq + m + 0.5)
 
 
-def input_vacuum_variance(n_sq: float, eta: float = 1.0) -> float:
+def input_vacuum_variance(n_sq, eta=1.0):
     """Normally-ordered quadrature variance of the squeezed-vacuum input.
 
     (N - M) / 2 in the same normalisation, approaching -0.25 as N grows.
+    Polymorphic over scalars and broadcastable arrays.
     """
-    m = derive_rates(AtomFieldParams(n_sq=n_sq, eta=eta)).m_corr
+    m = decay_rates(1.0, n_sq, eta, 0.0)[0]
     return (n_sq - m) / 2.0
 
 
 def full_report(params: AtomFieldParams) -> SqueezingReport:
     """Steady state plus every squeezing figure of merit at one point."""
     state = steady_state(params)
-    theta_o = optimal_phase_analytic(params)
+    alpha, beta = sphere_angles(params)
     degenerate = state.sx**2 + state.sy**2 <= COHERENCE_FLOOR
     s_opt = optimal_variance(state)
-    alpha, beta = sphere_angles(params)
     sigma = state.sigma
     return SqueezingReport(
-        theta_o=theta_o,
+        theta_o=alpha % math.pi,
         s_theta_o=s_opt,
         s_x=variance_theta(state, 0.0),
         s_y=variance_theta(state, math.pi / 2.0),

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import steady_state_grid
-from .errors import CertificationFailedError, ValidationError
+from .bloch import BlochState, steady_state_grid
+from .errors import CertificationFailedError, NumericalError, ValidationError
 from .metrics import optimal_phase_analytic
 from .params import AtomFieldParams, decay_rates
 
@@ -34,10 +34,6 @@ class OptimumReport:
     value: float
     n_evals: int
     converged: bool
-
-    @property
-    def location(self) -> tuple[float, float, float]:
-        return (self.omega, self.delta, self.theta)
 
     @property
     def gap_to_bound(self) -> float:
@@ -133,7 +129,8 @@ def minimize_variance_batch(n_sq, phi, bounds, eta: float = 1.0,
     neighbours, and kept if the refinement finds nothing lower. A box side of zero width freezes that coordinate. Returns the
     arrays (omega, delta, value, n_evals, converged): ``n_evals`` counts
     each problem's objective evaluations, and ``converged`` is False where
-    the refinement stopped on its iteration cap.
+    the refinement stopped on its iteration cap. A node whose steady state
+    overflows counts as inf, so ``value`` is inf only where every node did.
     """
     (w_lo, w_hi), (d_lo, d_hi) = bounds
     if w_lo > w_hi or d_lo > d_hi or w_lo < 0.0:
@@ -147,8 +144,11 @@ def minimize_variance_batch(n_sq, phi, bounds, eta: float = 1.0,
         w_min = drive_optima(n_sq, eta, phi, delta)[0]
         # fmax maps an overflowed (NaN) optimum to omega = w_lo
         omega = np.clip(np.sqrt(np.fmax(w_min, 0.0)), w_lo, w_hi)
-        sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
-        return omega, 1.0 + sz - sx * sx - sy * sy
+        with np.errstate(all="ignore"):
+            s_opt = BlochState(*steady_state_grid(1.0, n_sq, eta, phi, omega,
+                                                  delta)).s_opt
+        # a node whose state overflowed (NaN) ranks below every finite one
+        return omega, np.where(np.isnan(s_opt), np.inf, s_opt)
 
     ds = np.linspace(d_lo, d_hi, 1 if d_lo == d_hi else coarse)
     omegas, vals = profile(ds)
@@ -185,10 +185,14 @@ def minimize_variance(
     """Minimise the optimal-quadrature variance over an (omega, delta) box.
 
     ``minimize_variance_batch`` for one problem. The reported theta is
-    the analytic optimal phase at the located minimum.
+    the analytic optimal phase at the located minimum. Raises
+    NumericalError when the steady state overflows at every node searched.
     """
     omega, delta, value, n_evals, converged = (
         x[0] for x in minimize_variance_batch([n_sq], [phi], bounds, eta, coarse))
+    if not math.isfinite(value):
+        raise NumericalError(
+            f"the steady state overflows throughout the search box {bounds!r}")
     params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=phi, omega=float(omega),
                              delta=float(delta))
     return OptimumReport(
@@ -260,10 +264,9 @@ def certify_n_eighth(
     # the first phase wins a tie, as in a loop that keeps strictly lower values
     best = (np.arange(len(grid)) * len(phases)
             + np.argmin(value.reshape(len(grid), -1), axis=1))
-    sx, sy, sz = steady_state_grid(1.0, n_sq[best], 1.0, phi[best],
-                                   omega[best], delta[best])
     minima = value[best].tolist()
-    sigmas = (sx * sx + sy * sy + sz * sz).tolist()
+    sigmas = BlochState(*steady_state_grid(1.0, n_sq[best], 1.0, phi[best],
+                                           omega[best], delta[best])).sigma.tolist()
 
     k_min = int(np.argmin(minima))
     offenders = []

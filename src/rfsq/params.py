@@ -1,10 +1,12 @@
-"""Physical parameters and derived decay rates.
+"""Physical parameters and the decay rates they set.
 
 All rates and frequencies are expressed in units of the spontaneous decay
 rate gamma, which defaults to 1. The squeezed reservoir is broadband and
 characterised by its photon number N, the two-photon correlation strength
 M = eta * sqrt(N(N+1)) with ideality eta in [0, 1], and the relative phase
-Phi = 2*phi_l - phi_s between the driving laser and the squeezed vacuum.
+Phi between the driving laser and the squeezed vacuum: with laser phase
+phi_L and squeeze phase phi_S, Phi = 2 phi_L - phi_S. Only Phi enters the
+Bloch equations, so it is the one phase taken as input.
 """
 
 from __future__ import annotations
@@ -35,12 +37,9 @@ class AtomFieldParams:
     gamma : spontaneous decay rate, the global frequency unit (> 0)
     n_sq : squeezed photon number N (>= 0)
     eta : squeezing-correlation ideality (0 <= eta <= 1; 1 is ideal)
-    phi : relative phase Phi = 2*phi_l - phi_s, radians
+    phi : relative phase Phi = 2 phi_L - phi_S, radians
     omega : Rabi frequency, in units of gamma (>= 0)
     delta : detuning of the atom from the laser, in units of gamma
-    phi_l : laser phase, radians (optional, default 0)
-    phi_s : squeeze phase, radians (optional; when given, it must be
-        consistent with phi and phi_l modulo 2*pi)
     """
 
     gamma: float = 1.0
@@ -49,11 +48,9 @@ class AtomFieldParams:
     phi: float = 0.0
     omega: float = 0.0
     delta: float = 0.0
-    phi_l: float = 0.0
-    phi_s: float | None = None
 
     def __post_init__(self):
-        for name in ("gamma", "n_sq", "eta", "phi", "omega", "delta", "phi_l"):
+        for name in ("gamma", "n_sq", "eta", "phi", "omega", "delta"):
             _require_finite(name, getattr(self, name))
         if self.gamma <= 0.0:
             raise ValidationError(f"gamma must be positive, got {self.gamma}")
@@ -63,44 +60,21 @@ class AtomFieldParams:
             raise ValidationError(f"eta must lie in [0, 1], got {self.eta}")
         if self.omega < 0.0:
             raise ValidationError(f"omega must be non-negative, got {self.omega}")
-        if self.phi_s is not None:
-            _require_finite("phi_s", self.phi_s)
-            mismatch = self.phi - (2.0 * self.phi_l - self.phi_s)
-            # compare modulo 2*pi, mapping the difference into (-pi, pi]
-            mismatch = mismatch - TWO_PI * round(mismatch / TWO_PI)
-            if abs(mismatch) >= 1e-12:
-                raise ValidationError(
-                    "phi is inconsistent with 2*phi_l - phi_s "
-                    f"(mismatch {mismatch:.3e} rad)"
-                )
 
     def inputs(self) -> dict:
-        """The six physical inputs by name (the optional phases excluded)."""
+        """The six physical inputs by name."""
         return {
             "gamma": self.gamma, "n_sq": self.n_sq, "eta": self.eta,
             "phi": self.phi, "omega": self.omega, "delta": self.delta,
         }
 
 
-@dataclass(frozen=True)
-class DerivedRates:
-    """Decay rates of the Bloch components in the squeezed reservoir.
-
-    m_corr is dimensionless; the remaining rates carry units of gamma.
-    gamma_x and gamma_y are the decay rates of the in-phase and
-    out-of-phase atomic polarisation quadratures, gamma_z that of the
-    population inversion; gamma_x + gamma_y = gamma_z = 2 * big_gamma.
-    """
-
-    m_corr: float
-    big_gamma: float
-    gamma_x: float
-    gamma_y: float
-    gamma_z: float
-
-
 def decay_rates(gamma, n_sq, eta, phi):
     """M, q = (N + 1/2)^2 - M^2 and the rates (gamma_x, gamma_y, gamma_z).
+
+    gamma_x and gamma_y are the decay rates of the in-phase and
+    out-of-phase polarisation quadratures, gamma_z that of the population
+    inversion; gamma_x + gamma_y = gamma_z = 2 Gamma.
 
     Polymorphic over scalars and broadcastable arrays. Every quantity is a
     sum of non-negative terms, so nothing cancels: q = (1 - eta^2) N(N+1)
@@ -118,16 +92,3 @@ def decay_rates(gamma, n_sq, eta, phi):
     gamma_y = gamma * (low + 2.0 * m * (sin_half * sin_half))
     gamma_z = 2.0 * gamma * (n_sq + 0.5)
     return m, q, gamma_x, gamma_y, gamma_z
-
-
-def derive_rates(params: AtomFieldParams) -> DerivedRates:
-    """Compute M, Gamma and the quadrature decay rates from the inputs."""
-    m, _, gamma_x, gamma_y, gamma_z = decay_rates(
-        params.gamma, params.n_sq, params.eta, params.phi)
-    return DerivedRates(
-        m_corr=float(m),
-        big_gamma=float(gamma_z) / 2.0,
-        gamma_x=float(gamma_x),
-        gamma_y=float(gamma_y),
-        gamma_z=float(gamma_z),
-    )

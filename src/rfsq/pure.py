@@ -21,10 +21,13 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 
-from .bloch import steady_state, steady_state_grid
+import numpy as np
+
+from .bloch import BlochState, steady_state, steady_state_grid
 from .errors import (
     AsymptoticConditionWarning,
     NoPureStateError,
+    NumericalError,
     UnitMismatchError,
     ValidationError,
 )
@@ -182,14 +185,19 @@ def find_pure_curve(
     omega = sqrt(w_pure) from the closed form of ``drive_optima``, or 0
     when w_pure is negative; Sigma is evaluated there with the
     steady-state kernel. Returns (omega, sigma_max); raises
-    NoPureStateError when the slice never comes within 1e-4 of purity.
+    NoPureStateError when the slice never comes within 1e-4 of purity, and
+    NumericalError when the steady state there overflows.
     Points with sigma_max >= 1 - 1e-7 count as pure.
     """
     _require_photons(n_sq)
     w_pure = drive_optima(n_sq, eta, phi, delta)[2]
     omega = math.sqrt(w_pure) if w_pure > 0.0 else 0.0  # also when NaN
-    sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
-    sigma = float(sx * sx + sy * sy + sz * sz)
+    with np.errstate(all="ignore"):
+        sigma = float(BlochState(*steady_state_grid(1.0, n_sq, eta, phi, omega,
+                                                    delta)).sigma)
+    if not math.isfinite(sigma):
+        raise NumericalError(
+            f"the steady state overflows at delta = {delta!r}, omega = {omega!r}")
     if sigma < 1.0 - 1e-4:
         raise NoPureStateError(
             f"no pure state on this slice; best Sigma = {sigma:.6f}",

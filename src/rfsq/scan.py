@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .bloch import steady_state_grid
+from .bloch import BlochState, steady_state_grid
 from .errors import ValidationError
 from .metrics import variance_theta_xyz
 from .params import AtomFieldParams
@@ -112,14 +112,6 @@ class ScanResult:
     values: np.ndarray
     errors: list = field(default_factory=list)
 
-    @property
-    def axis1_values(self) -> np.ndarray:
-        return self.spec.axis1.values
-
-    @property
-    def axis2_values(self) -> np.ndarray | None:
-        return None if self.spec.axis2 is None else self.spec.axis2.values
-
     def columns(self) -> dict[str, np.ndarray]:
         """Long-form columns: one row per node, axis1 outer, metric last."""
         spec = self.spec
@@ -153,11 +145,11 @@ def scan_metadata(metric, axes, fixed: AtomFieldParams, errors) -> dict:
 
 def _metric_from_states(metric, sx, sy, sz, theta):
     if metric == "sigma":
-        return sx * sx + sy * sy + sz * sz
+        return BlochState(sx, sy, sz).sigma
     if metric == "sz":
         return sz
     if metric == "s_opt":
-        return 1.0 + sz - sx * sx - sy * sy
+        return BlochState(sx, sy, sz).s_opt
     if metric == "s_theta":
         return variance_theta_xyz(sx, sy, sz, theta)
     return variance_theta_xyz(sx, sy, sz, _FIXED_THETAS[metric])

@@ -161,7 +161,7 @@ def check_amplification_crossover(seed=42, fast=False):
                        "expected 0.5625 +- 1e-3 and |gap| <= 1e-12")
     count = 40 if fast else 200
     ns = np.linspace(0.011, 0.549, count)
-    gaps = np.array([pure_state_variance(n) - input_vacuum_variance(n) for n in ns])
+    gaps = pure_state_variance(ns) - input_vacuum_variance(ns)
     ok = bool((gaps < 0.0).all())
     return ok, f"crossover {n_star:.7f}; max gap below crossover {gaps.max():.3e}"
 
@@ -170,7 +170,7 @@ def check_pure_variance_law(seed=42, fast=False):
     """Pure-state variance at N = 1/8 is exactly -0.25 and matches <sz>(1+<sz>)."""
     v = pure_state_variance(0.125)
     if abs(v + 0.25) > 1e-15:
-        return False, f"variance at N = 1/8 is {v!r}, expected -0.25"
+        return False, f"variance at N = 1/8 is {float(v)!r}, expected -0.25"
     worst = 0.0
     for n in np.linspace(0.01, 2.0, 50):
         m = math.sqrt(n * (n + 1.0))

@@ -45,8 +45,11 @@ def scalar_search(n_sq, phi, bounds, eta=1.0, coarse=64):
         n_evals += np.size(delta)
         w_min = drive_optima(n_sq, eta, phi, delta)[0]
         omega = np.clip(np.sqrt(np.fmax(w_min, 0.0)), w_lo, w_hi)
-        sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
-        return omega, 1.0 + sz - sx * sx - sy * sy
+        with np.errstate(all="ignore"):
+            sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
+        value = 1.0 + sz - sx * sx - sy * sy
+        # a node whose state overflowed (NaN) is the worst of all
+        return omega, np.where(np.isnan(value), np.inf, value)
 
     ds = np.linspace(d_lo, d_hi, 1 if d_lo == d_hi else coarse)
     omegas, vals = profile(ds)

@@ -75,6 +75,21 @@ def test_closed_form_is_polymorphic():
     assert np.allclose(arr[1], math.sqrt(3.0) / 2.0, atol=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflow_gives_the_limit_or_nan():
+    with np.errstate(all="ignore"):
+        # L = q + delta^2 overflows at omega = 0: the undriven state, exactly
+        undriven = steady_grid(1.0, 0.2, 1.0, math.pi, 0.0, 1e200)
+        # omega^2 overflows alone: the strong-drive limit (0, 0, 0)
+        saturated = steady_grid(1.0, 0.2, 1.0, math.pi, 1e200, 0.0)
+        # both overflow: no limit, so NaN (it was a finite sz = -0.714)
+        lost = steady_grid(1.0, 0.2, 1.0, math.pi, 2e200, 1e200)
+    assert undriven[:2] == (0.0, 0.0)
+    assert undriven[2] == -1.0 / (2.0 * 0.2 + 1.0)
+    assert [abs(x) for x in saturated] == [0.0, 0.0, 0.0]
+    assert math.isnan(lost[2])
+
+
 def _mpmath_steady(params, mp):
     """Bloch steady state at 50 digits, with the rates written out directly."""
     gamma, n, eta, phi, omega, delta = (mp.mpf(float(x)) for x in (

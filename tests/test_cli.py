@@ -226,6 +226,52 @@ def test_pure_reduces_the_phase_modulo_two_pi(capsys, phi, expected, extra):
         assert abs(payload["sigma_achieved"] - 1.0) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    # L = q + delta^2 and omega^2 both overflow; each exited 0 with a
+    # finite state or printed NaN
+    ("steady", "--n", "0.2", "--phi", "pi", "--delta", "1e200",
+     "--omega", "2e200"),
+    ("pure", "--n", "0.2", "--phi", "pi", "--delta", "1e300"),
+    ("pure", "--n", "0.2", "--phi", "2", "--delta", "1e100", "--solve-omega"),
+    ("optimize", "--n", "0.2", "--box", "omega:1e200:1e201,delta:1e200:1e201"),
+])
+def test_overflowing_state_fails_cleanly(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_detuning_scan(capsys):
+    # undriven, every detuning gives the undriven state
+    code, out, err = run(capsys, "scan", "--metric", "s_x", "--n", "0.2",
+                         "--axis1", "delta:0:1e200:3")
+    assert (code, err) == (0, "")
+    assert [float(row.split(",")[1]) for row in out.splitlines()[2:]] == \
+        [1.0 - 1.0 / 1.4] * 3
+    # with omega^2 overflowing too, only delta = 0 has a state
+    code, out, err = run(capsys, "scan", "--metric", "s_x", "--n", "0.2",
+                         "--omega", "1e200", "--axis1", "delta:0:1e200:3")
+    assert code == 2
+    assert [float(row.split(",")[1]) for row in out.splitlines()[2:]] == \
+        [1.0, 0.0, 0.0]
+    assert err == ("error: Numerical: 2 of 3 scan nodes failed to evaluate "
+                   "(first at [1])\n")
+
+
+def test_warning_is_one_line(capsys):
+    code, out, err = run(capsys, "pure", "--n", "0.2", "--phi", "pi",
+                         "--delta", "1")
+    assert code == 0
+    assert json.loads(out)["exact"] is False
+    assert err == ("warning: AsymptoticCondition: delta = 1 is below "
+                   "10 * (Gamma - gM) = 2.10102; the pure-state condition "
+                   "is asymptotic in delta\n")
+
+
 def test_pure_solver_failure_is_numerical(capsys):
     code, _, err = run(capsys, "pure", "--n", "0.125", "--phi", "0",
                        "--delta", "5", "--solve-omega")
@@ -258,7 +304,14 @@ def test_validation_exit_codes(capsys):
      "argument --axis1: axis omega count must lie in [2, 4096]"),
     (("optimize", "--box", "omega:0:1,delta:0:x"),
      "argument --box: could not convert string to float: 'x'"),
+    (("optimize", "--box", "omega:0:inf,delta:0:2"),
+     "argument --box: box omega bounds must be finite, got 'omega:0:inf'"),
+    (("optimize", "--box", "omega:0:3,delta:0:2,omega:1:2"),
+     "argument --box: box side omega is given twice"),
+    (("optimize", "--box", "delta:-1e400:2,omega:0:1"),
+     "argument --box: box delta bounds must be finite, got 'delta:-1e400:2'"),
 ])
+@pytest.mark.filterwarnings("error")
 def test_converter_errors_keep_their_message(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 1

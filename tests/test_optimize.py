@@ -20,7 +20,7 @@ from rfsq import (
     variance_theta,
 )
 from rfsq.bloch import steady_state_grid
-from rfsq.errors import ValidationError
+from rfsq.errors import NumericalError, ValidationError
 from rfsq.optimize import drive_optima
 from rfsq.verify import _min_over_omega
 
@@ -100,12 +100,21 @@ class TestMinimizeVariance:
         assert (report.omega, report.delta, report.n_evals) == (0.5, 0.3, 1)
         assert report.converged
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the kernel's
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_detuning_stays_finite(self):
         # L = q + delta^2 overflows: the drive falls back to the box's low side
         report = minimize_variance(0.2, 0.0, ((0.0, 1.0), (-1e200, 1e200)))
         assert report.omega == 0.0
         assert report.value == pytest.approx(1.0 - 1.0 / 1.4, rel=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_nodes_rank_below_finite_ones(self):
+        # at omega = 1e200 every node but delta = 0 overflows (NaN), and
+        # delta = 0 is the strong-drive limit S_opt = 1
+        report = minimize_variance(0.2, 0.0, ((1e200, 1e200), (0.0, 1e200)))
+        assert (report.omega, report.delta, report.value) == (1e200, 0.0, 1.0)
+        with pytest.raises(NumericalError, match="overflows throughout"):
+            minimize_variance(0.2, 0.0, ((1e200, 1e201), (1e200, 1e201)))
 
     def test_far_detuned_box_converges(self):
         report = minimize_variance(0.125, math.pi, ((0.0, 3e6), (1e6, 1e6 + 10.0)))

@@ -1,43 +1,43 @@
-"""Parameter validation and derived decay rates."""
+"""Parameter validation and the decay rates they set."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rfsq import AtomFieldParams, derive_rates
+from rfsq import AtomFieldParams
+from rfsq.params import decay_rates
 from rfsq.errors import ValidationError
 
 
 def test_rates_at_the_special_photon_number():
     # N = 1/8 makes the correlation strength rational and the quadrature
     # rates twice / one quarter of the bare decay rate
-    rates = derive_rates(AtomFieldParams(n_sq=0.125, phi=0.0))
-    assert rates.m_corr == pytest.approx(0.375, abs=1e-15)
-    assert rates.big_gamma == pytest.approx(0.625, abs=1e-15)
-    assert rates.gamma_x == pytest.approx(1.0, abs=1e-15)
-    assert rates.gamma_y == pytest.approx(0.25, abs=1e-15)
-    assert rates.gamma_z == pytest.approx(1.25, abs=1e-15)
+    m, _, gamma_x, gamma_y, gamma_z = decay_rates(1.0, 0.125, 1.0, 0.0)
+    assert m == pytest.approx(0.375, abs=1e-15)
+    assert gamma_z / 2.0 == pytest.approx(0.625, abs=1e-15)
+    assert gamma_x == pytest.approx(1.0, abs=1e-15)
+    assert gamma_y == pytest.approx(0.25, abs=1e-15)
+    assert gamma_z == pytest.approx(1.25, abs=1e-15)
 
 
 def test_rates_in_ordinary_vacuum():
     for phi in (0.0, 1.0, math.pi):
-        rates = derive_rates(AtomFieldParams(n_sq=0.0, phi=phi))
-        assert rates.m_corr == 0.0
-        assert rates.big_gamma == 0.5
-        assert rates.gamma_x == 0.5
-        assert rates.gamma_y == 0.5
-        assert rates.gamma_z == 1.0
+        m, _, gamma_x, gamma_y, gamma_z = decay_rates(1.0, 0.0, 1.0, phi)
+        assert m == 0.0
+        assert gamma_x == 0.5
+        assert gamma_y == 0.5
+        assert gamma_z == 1.0
 
 
 def test_rates_at_opposed_phase():
     # direct evaluation at N = 0.1, phi = pi; cross-checked by the sum rule
-    rates = derive_rates(AtomFieldParams(n_sq=0.1, phi=math.pi))
+    m_corr, _, gamma_x, gamma_y, _ = decay_rates(1.0, 0.1, 1.0, math.pi)
     m = math.sqrt(0.11)
-    assert rates.m_corr == pytest.approx(m, abs=1e-15)
-    assert rates.gamma_x == pytest.approx(0.6 - m, abs=1e-15)
-    assert rates.gamma_y == pytest.approx(0.6 + m, abs=1e-15)
-    assert rates.gamma_x + rates.gamma_y == pytest.approx(1.2, abs=1e-15)
+    assert m_corr == pytest.approx(m, abs=1e-15)
+    assert gamma_x == pytest.approx(0.6 - m, abs=1e-15)
+    assert gamma_y == pytest.approx(0.6 + m, abs=1e-15)
+    assert gamma_x + gamma_y == pytest.approx(1.2, abs=1e-15)
 
 
 @pytest.mark.parametrize("bad", [
@@ -53,19 +53,10 @@ def test_invalid_inputs_are_rejected(bad):
     assert next(iter(bad)) in str(err.value)
 
 
-def test_phase_consistency():
-    # phi must equal 2*phi_l - phi_s when both phases are supplied
-    AtomFieldParams(phi=1.0, phi_l=0.3, phi_s=-0.4)
-    AtomFieldParams(phi=1.0 - 2.0 * math.pi, phi_l=0.3, phi_s=-0.4)
-    with pytest.raises(ValidationError):
-        AtomFieldParams(phi=1.0, phi_l=0.3, phi_s=0.4)
-
-
 def test_correlation_bounds_and_monotonicity():
     ns = np.linspace(1e-6, 10.0, 500)
     ms = np.sqrt(ns * (ns + 1.0))
-    rates = [derive_rates(AtomFieldParams(n_sq=float(n))) for n in ns]
-    got = np.array([r.m_corr for r in rates])
+    got = np.array([decay_rates(1.0, float(n), 1.0, 0.0)[0] for n in ns])
     assert np.allclose(got, ms, rtol=1e-15)
     # strictly increasing in N, always above N, always below N + 1/2
     assert (np.diff(got) > 0.0).all()
@@ -81,9 +72,8 @@ def test_rate_identities_over_random_parameters():
             eta=rng.uniform(0.0, 1.0),
             phi=rng.uniform(0.0, 2.0 * math.pi),
         )
-        rates = derive_rates(params)
-        assert rates.gamma_x > 0.0
-        assert rates.gamma_y > 0.0
-        assert rates.gamma_x + rates.gamma_y == pytest.approx(
-            rates.gamma_z, rel=1e-14)
-        assert rates.gamma_z == pytest.approx(2.0 * rates.big_gamma, rel=1e-15)
+        _, _, gamma_x, gamma_y, gamma_z = decay_rates(
+            params.gamma, params.n_sq, params.eta, params.phi)
+        assert gamma_x > 0.0
+        assert gamma_y > 0.0
+        assert gamma_x + gamma_y == pytest.approx(gamma_z, rel=1e-14)

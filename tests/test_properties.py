@@ -8,7 +8,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rfsq.bloch import steady_state  # noqa: E402
+from rfsq.bloch import (  # noqa: E402
+    routh_hurwitz_margins, steady_state, system_grid)
 from rfsq.metrics import (  # noqa: E402
     optimal_phase_analytic, optimal_variance, pure_state_variance)
 from rfsq.optimize import VARIANCE_BOUND, minimize_variance_batch  # noqa: E402
@@ -77,3 +78,34 @@ def test_pure_state_is_pure_with_the_pure_state_variance(n_sq, phi):
     assert abs(optimal_variance(state) - pure_state_variance(n_sq)) <= 1e-12
     # the longitude is the optimal quadrature phase
     assert sol.alpha % math.pi == optimal_phase_analytic(params)
+
+
+#: the cheap point properties draw more examples
+POINT_SETTINGS = settings(PROPERTY_SETTINGS, max_examples=500)
+
+#: aim 3's robustness domain: N in [1e-6, 1e3], |Delta| <= 1e6,
+#: Omega <= 1e5, any eta and Phi
+domain_params = st.builds(
+    AtomFieldParams,
+    n_sq=st.floats(1e-6, 1e3),
+    eta=st.floats(0.0, 1.0),
+    phi=st.floats(-100.0, 100.0),
+    omega=st.floats(0.0, 1e5),
+    delta=st.floats(-1e6, 1e6),
+)
+
+
+@POINT_SETTINGS
+@given(domain_params)
+def test_purity_and_variance_respect_their_bounds(params):
+    state = steady_state(params)
+    assert state.sigma <= 1.0 + 1e-12
+    # the Walls-Zoller floor (PRL 47, 709 (1981)) of the optimal quadrature
+    assert optimal_variance(state) >= VARIANCE_BOUND - 1e-12
+
+
+@POINT_SETTINGS
+@given(domain_params)
+def test_bloch_matrix_is_hurwitz(params):
+    margins = routh_hurwitz_margins(system_grid(**params.inputs()))
+    assert all(margin > 0.0 for margin in margins)

@@ -21,6 +21,7 @@ from rfsq.optimize import drive_optima
 from rfsq.errors import (
     AsymptoticConditionWarning,
     NoPureStateError,
+    NumericalError,
     UnitMismatchError,
     ValidationError,
 )
@@ -260,11 +261,18 @@ class TestFindPureCurve:
             w_pure = drive_optima(sol.n_sq, 1.0, sol.phi, sol.delta)[2]
             assert math.sqrt(w_pure) == pytest.approx(sol.omega, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the kernel's
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_detuning_has_no_pure_state(self):
         with pytest.raises(NoPureStateError) as err:
             find_pure_curve(0.0, 0.2, 1e200)
         assert math.isfinite(err.value.sigma_max)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_drive_is_a_numerical_error(self):
+        # the closed-form drive overflows to inf, where Sigma is NaN: an
+        # error, never a NaN result
+        with pytest.raises(NumericalError):
+            find_pure_curve(2.0, 0.2, 1e100)
 
     def test_detuned_resonant_phase_has_no_pure_state(self):
         with pytest.raises(NoPureStateError) as err:

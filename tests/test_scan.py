@@ -64,8 +64,8 @@ def test_deep_in_phase_region():
         metric="s_x",
     ))
     i, j = np.unravel_index(int(np.argmin(result.values)), result.values.shape)
-    omegas = result.axis1_values
-    phis = result.axis2_values
+    omegas = result.spec.axis1.values
+    phis = result.spec.axis2.values
     assert result.values[i, j] <= -0.245
     assert abs(omegas[i] - 15.7) <= 0.5
     assert abs(phis[j] - math.pi) <= 0.06
@@ -83,7 +83,7 @@ def test_theta_axis_scan():
     result = scan(ScanSpec(
         axis1=AxisSpec("theta", 0.0, math.pi, 181),
         fixed=fixed, metric="s_theta"))
-    thetas = result.axis1_values
+    thetas = result.spec.axis1.values
     k = int(np.argmin(result.values))
     assert thetas[k] == pytest.approx(math.pi / 2.0, abs=0.01)
     assert result.values[k] == pytest.approx(-0.25, abs=1e-4)

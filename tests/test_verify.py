@@ -14,7 +14,6 @@ import pytest
 from rfsq import verify
 from rfsq.bloch import (
     BlochState,
-    build_system,
     relax_batch,
     routh_hurwitz_margins,
     spectral_abscissa,
@@ -36,10 +35,11 @@ from rfsq.optimize import (
     minimize_variance,
     minimize_variance_batch,
 )
-from rfsq.params import AtomFieldParams, derive_rates
+from rfsq.params import AtomFieldParams, decay_rates
 from rfsq.pure import sz_plus_half, sz_plus_half_grid
 
 from search_oracle import scalar_search
+from steady_oracle import system_of
 
 SEEDS = (42, 101, 102)
 
@@ -172,13 +172,11 @@ def loop_rates_and_bounds(seed=42, fast=False):
     worst_floor = 0.0
     for _ in range(count):
         params = draw_params(rng)
-        rates = derive_rates(params)
-        if rates.gamma_x <= 0.0 or rates.gamma_y <= 0.0:
+        _, _, gamma_x, gamma_y, gamma_z = decay_rates(
+            params.gamma, params.n_sq, params.eta, params.phi)
+        if gamma_x <= 0.0 or gamma_y <= 0.0:
             return False, f"non-positive quadrature rate at {params}"
-        worst_sum = max(
-            worst_sum,
-            abs(rates.gamma_x + rates.gamma_y - rates.gamma_z) / rates.gamma_z,
-        )
+        worst_sum = max(worst_sum, abs(gamma_x + gamma_y - gamma_z) / gamma_z)
         state = steady_state(params)
         worst_sigma = max(worst_sigma, state.sigma - 1.0)
         worst_floor = max(worst_floor, -0.25 - optimal_variance(state))
@@ -199,7 +197,7 @@ def loop_stability_certificate(seed=42, fast=False):
     worst = np.inf
     for k in range(count):
         params = draw_params(rng)
-        system = build_system(params)
+        system = system_of(params)
         margins = routh_hurwitz_margins(system)
         worst = min(worst, *margins)
         if k % 10 == 0:
@@ -239,7 +237,7 @@ def test_array_forms_match_the_scalar_functions():
     draws = verify._draws(np.random.default_rng(42), 1000)
     params = [verify._params(*point) for point in draws.T]
     system = system_grid(1.0, draws[0], 1.0, *draws[1:])
-    singles = [build_system(p) for p in params]
+    singles = [system_of(p) for p in params]
     assert np.array_equal(system.a_matrix, np.stack([s.a_matrix for s in singles]))
     assert np.array_equal(system.b_vector, np.stack([s.b_vector for s in singles]))
     assert np.array_equal(np.array(routh_hurwitz_margins(system)).T,
@@ -293,7 +291,7 @@ def as_bits(omega, delta, value, n_evals, converged):
             int(n_evals), bool(converged))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("eta", [1.0, 0.6])
 @pytest.mark.parametrize("coarse", [64, 2])
 @pytest.mark.parametrize("bounds", BOXES)
