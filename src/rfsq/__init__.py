@@ -32,14 +32,12 @@ from .pure import (
     condition_phi_pi,
     find_pure_curve,
     pure_state,
-    sz_plus_half,
 )
 from .scan import AxisSpec, ScanResult, ScanSpec, scan
 from .optimize import (
     OptimumReport,
     certify_n_eighth,
     find_crossover,
-    golden_section_max,
     minimize_variance,
     minimize_variance_batch,
 )
@@ -54,12 +52,12 @@ __all__ = [
     "SqueezingReport", "full_report", "variance_theta", "optimal_variance",
     "optimal_phase_analytic", "sphere_angles",
     "pure_state_variance", "input_vacuum_variance",
-    "PureStateSolution", "pure_state", "condition_phi_pi", "sz_plus_half",
+    "PureStateSolution", "pure_state", "condition_phi_pi",
     "find_pure_curve",
     "AxisSpec", "ScanSpec", "ScanResult", "scan",
     "OptimumReport", "minimize_variance", "minimize_variance_batch",
     "find_crossover",
-    "certify_n_eighth", "golden_section_max",
+    "certify_n_eighth",
     "build_figure", "emit_figure",
     "backends", "errors",
 ]

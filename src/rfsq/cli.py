@@ -20,7 +20,6 @@ line 'error: <kind>: <detail>' on stderr, and warnings one line each,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import warnings
@@ -31,7 +30,7 @@ from .errors import NumericalError, RfsqError, ValidationError
 from .figures import emit_figure
 from .io import dump_csv, dump_json, parse_angle, write_csv, write_json
 from .metrics import full_report
-from .optimize import find_crossover, minimize_variance
+from .optimize import check_box_side, find_crossover, minimize_variance
 from .params import AtomFieldParams
 from .pure import (
     condition_phi_pi,
@@ -154,8 +153,7 @@ def _parse_box(text: str):
         name, bounds = parts[0], (float(parts[1]), float(parts[2]))
         if name in sides:
             raise ValidationError(f"box side {name} is given twice")
-        if not all(map(math.isfinite, bounds)):
-            raise ValidationError(f"box {name} bounds must be finite, got {chunk!r}")
+        check_box_side(name, *bounds, spelled=chunk)
         sides[name] = bounds
     if set(sides) != {"omega", "delta"}:
         raise ValidationError(
@@ -279,13 +277,7 @@ def _cmd_figure(args, params: AtomFieldParams) -> int:
 
 def _cmd_optimize(args, params: AtomFieldParams) -> int:
     report = minimize_variance(params.n_sq, params.phi, args.box, eta=params.eta)
-    payload = report.as_dict()
-    payload["inputs"] = params.inputs()
-    _emit(args, payload)
-    if not report.converged:
-        print("error: NoConvergence: optimizer hit its iteration cap",
-              file=sys.stderr)
-        return 2
+    _emit(args, {**report.as_dict(), "inputs": params.inputs()})
     return 0
 
 

@@ -31,10 +31,6 @@ class NoConvergenceError(NumericalError):
         self.residual = residual
 
 
-class UnitMismatchError(ValidationError):
-    """A closed form is only printed for gamma = 1 (and eta = 1) units."""
-
-
 class NoPureStateError(NumericalError):
     """No drive strength makes the atom pure on the requested slice."""
 

@@ -28,7 +28,6 @@ from .errors import (
     AsymptoticConditionWarning,
     NoPureStateError,
     NumericalError,
-    UnitMismatchError,
     ValidationError,
 )
 from .metrics import sphere_angles
@@ -144,28 +143,14 @@ def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0,
     return _solution(params, 0.0, sphere_angles(params)[1], exact=False)
 
 
-def sz_plus_half(params: AtomFieldParams) -> float:
-    """Closed form for <sz> + 1/2, printed in gamma = 1 (ideal reservoir) units.
+def sz_plus_half_grid(n_sq, phi, omega, delta):
+    """Closed form for <sz> + 1/2 at gamma = eta = 1, over scalars or arrays.
 
     [(N + 1/2 + M cosPhi) omega^2 + (2N - 1)(delta^2 + 1/4)] /
     [2 ((N + 1/2 + M cosPhi) omega^2 + (delta^2 + 1/4)(2N + 1))]
 
-    Vanishing at the maximal-squeezing drive, where <sz> = -1/2. Refuses
-    gamma != 1 and eta != 1, for which this form does not hold.
+    Vanishing at the maximal-squeezing drive, where <sz> = -1/2.
     """
-    if params.gamma != 1.0:
-        raise UnitMismatchError(
-            f"closed form for <sz> + 1/2 requires gamma = 1, got {params.gamma}"
-        )
-    if params.eta != 1.0:
-        raise UnitMismatchError(
-            f"closed form for <sz> + 1/2 requires eta = 1, got {params.eta}"
-        )
-    return sz_plus_half_grid(params.n_sq, params.phi, params.omega, params.delta)
-
-
-def sz_plus_half_grid(n_sq, phi, omega, delta):
-    """``sz_plus_half`` over scalars or broadcastable arrays (gamma = eta = 1)."""
     gamma_x = decay_rates(1.0, n_sq, 1.0, phi)[2]
     drive = gamma_x * omega**2  # N + 1/2 + M cosPhi = gamma_x
     lorentz = delta**2 + 0.25

@@ -9,7 +9,9 @@ with one generator call and evaluates them with array calls of the
 shipped functions (the relaxations with one ``relax_batch``, the
 photon-number certification with one ``minimize_variance_batch``);
 only csv-roundtrip keeps a scalar ``full_report`` loop, because it
-compares that path with the grid path.
+compares that path with the grid path. The in-phase minima over omega
+take a scalar golden-section search: the theta = 0 variance has no
+closed-form optimum.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .metrics import (
     pure_state_variance,
     variance_theta,
 )
-from .optimize import certify_n_eighth, find_crossover, golden_section_max
+from .optimize import certify_n_eighth, find_crossover
 from .params import AtomFieldParams, decay_rates
 from .pure import pure_state, sz_plus_half_grid
 from .scan import AxisSpec, ScanSpec, scan
@@ -65,14 +67,31 @@ def _params(n_sq, phi, omega, delta) -> AtomFieldParams:
                            omega=float(omega), delta=float(delta))
 
 
+def _golden_section_max(f, a, b, xtol=1e-10):
+    """Golden-section maximum (x, f(x)) of a unimodal f on [a, b], to xtol in x."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc > fd:  # the maximum lies in [a, d]
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b), f(0.5 * (a + b))
+
+
 def _min_over_omega(n_sq, phi, delta, variance_of_state, lo=5.0, hi=40.0):
+    """(omega, least variance) over omega in [lo, hi] at one detuning."""
     def f(omega):
-        params = AtomFieldParams(n_sq=n_sq, phi=phi, omega=float(omega),
-                                 delta=delta)
+        params = AtomFieldParams(n_sq=n_sq, phi=phi, omega=omega, delta=delta)
         return variance_of_state(steady_state(params))
 
-    omega, neg, _ = golden_section_max(lambda w: -f(w), lo, hi, xtol=1e-10)
-    return float(omega), -float(neg)
+    omega, neg = _golden_section_max(lambda w: -f(w), lo, hi)
+    return omega, -neg
 
 
 def check_maximal_family(seed=42, fast=False):
@@ -243,8 +262,7 @@ def check_photon_number_certification(seed=42, fast=False):
     phases = (math.pi / 2.0, 3.0 * math.pi / 4.0) if fast else \
         (math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0)
     try:
-        report = certify_n_eighth(tolerance=1e-6, phases=phases,
-                                  coarse=32 if fast else 64)
+        report = certify_n_eighth(tolerance=1e-6, phases=phases)
     except CertificationFailedError as exc:
         return False, f"{exc}: {exc.offenders}"
     # every per-N optimum is a nearly pure state

@@ -1,8 +1,9 @@
 """Reference oracle for the box search: one problem at a time, in scalars.
 
-The serial search that ``optimize.minimize_variance_batch`` replaced: a
-scalar golden-section loop refining the best of the coarse detunings.
-The batched search must reproduce it bit for bit, n_evals included.
+The search that the exact candidate enumeration of
+``optimize.minimize_variance_batch`` replaced: the best of ``coarse``
+detunings, refined by a scalar golden-section loop between its
+neighbours. The enumeration must never be above it.
 """
 
 import math
@@ -10,7 +11,10 @@ import math
 import numpy as np
 
 from rfsq.bloch import steady_state_grid
-from rfsq.optimize import GOLDEN_MAX_ITER, drive_optima
+from rfsq.optimize import drive_optima
+
+#: iteration cap of the golden-section refinement over delta
+GOLDEN_MAX_ITER = 200
 
 
 def scalar_golden_max(f, lo, hi, xtol, max_iter):
@@ -66,3 +70,18 @@ def scalar_search(n_sq, phi, bounds, eta=1.0, coarse=64):
             delta, value = x, -neg
             omega = float(profile(x)[0])
     return omega, delta, value, n_evals, converged
+
+
+def grid_minimum(n_sq, phi, bounds, eta=1.0, nodes=400):
+    """Least S_opt of each problem on a nodes x nodes kernel grid of the box.
+
+    A frozen side is one node; a node whose state overflows counts as inf.
+    """
+    omega, delta = (np.linspace(lo, hi, 1 if lo == hi else nodes)
+                    for lo, hi in bounds)
+    n_sq, phi = (np.asarray(x, dtype=float)[:, None, None] for x in (n_sq, phi))
+    with np.errstate(all="ignore"):
+        sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega[:, None],
+                                       delta[None, :])
+        value = 1.0 + sz - sx * sx - sy * sy
+    return np.where(np.isnan(value), np.inf, value).min(axis=(1, 2))

@@ -138,16 +138,33 @@ def test_optimize_command(capsys):
     payload = json.loads(out)
     assert payload["value"] == pytest.approx(-0.25, abs=1e-8)
     assert payload["omega"] == pytest.approx(0.6124, abs=1e-3)
-    assert payload["converged"]
+    assert payload["converged"] is True
+    assert "n_evals" not in payload
 
 
-def test_optimize_exits_two_on_the_iteration_cap(capsys, monkeypatch):
-    monkeypatch.setattr(rfsq.optimize, "GOLDEN_MAX_ITER", 5)
-    code, out, err = run(capsys, "optimize", "--n", "0.125", "--phi", "0.5pi",
-                         "--box", "omega:0:3,delta:0:2")
-    assert code == 2
-    assert json.loads(out)["converged"] is False
-    assert err.startswith("error: NoConvergence:")
+def test_optimize_finds_a_narrow_dip_in_a_wide_box(capsys):
+    # a 64-node detuning grid steps over this dip and reports 0.8 at
+    # delta = -300; `rfsq report` at the printed drive confirms the value
+    code, out, _ = run(capsys, "optimize", "--n", "2", "--phi", "1",
+                       "--box", "omega:0:30,delta:-300:300")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == pytest.approx(-0.0924234614174767, abs=1e-12)
+    code, out, _ = run(capsys, "report", "--n", "2", "--phi", "1",
+                       "--omega", repr(payload["omega"]),
+                       "--delta", repr(payload["delta"]))
+    assert json.loads(out)["s_theta_o"] == pytest.approx(payload["value"], abs=1e-15)
+
+
+@pytest.mark.parametrize("box,message", [
+    ("omega:3:1,delta:0:2", "box omega bounds are reversed, got 'omega:3:1'"),
+    ("omega:0:3,delta:2:-2", "box delta bounds are reversed, got 'delta:2:-2'"),
+    ("omega:-1:3,delta:0:2", "box omega must not be negative, got 'omega:-1:3'"),
+])
+def test_bad_box_fails_at_parse_time(capsys, box, message):
+    code, out, err = run(capsys, "optimize", "--n", "0.125", "--box", box)
+    assert (code, out) == (1, "")
+    assert err == f"error: Validation: argument --box: {message}\n"
 
 
 def test_pure_closed_form_dispatch(capsys):
@@ -270,6 +287,15 @@ def test_warning_is_one_line(capsys):
     assert err == ("warning: AsymptoticCondition: delta = 1 is below "
                    "10 * (Gamma - gM) = 2.10102; the pure-state condition "
                    "is asymptotic in delta\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_detuned_purest_drive_is_no_pure_state(capsys):
+    code, out, err = run(capsys, "pure", "--n", "0.2", "--phi", "2",
+                         "--delta", "1e100", "--solve-omega")
+    assert (code, out) == (2, "")
+    assert err == ("error: NoPureState: no pure state on this slice; "
+                   "best Sigma = 0.557492\n")
 
 
 def test_pure_solver_failure_is_numerical(capsys):

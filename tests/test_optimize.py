@@ -1,4 +1,4 @@
-"""Optimum location, closed-form drive optima, the crossover, and search helpers."""
+"""Optimum location, closed-form drive optima, the crossover and golden section."""
 
 import math
 
@@ -10,7 +10,6 @@ from rfsq import (
     AxisSpec,
     ScanSpec,
     find_crossover,
-    golden_section_max,
     input_vacuum_variance,
     minimize_variance,
     optimal_variance,
@@ -21,50 +20,28 @@ from rfsq import (
 )
 from rfsq.bloch import steady_state_grid
 from rfsq.errors import NumericalError, ValidationError
-from rfsq.optimize import drive_optima
-from rfsq.verify import _min_over_omega
+from rfsq.optimize import drive_optima, minimize_variance_batch
+from rfsq.verify import _golden_section_max, _min_over_omega
 
-from search_oracle import scalar_golden_max
+from search_oracle import grid_minimum, scalar_search
 
 BOX = ((0.0, 3.0), (0.0, 2.0))
 
 
 class TestGoldenSection:
     def test_interior_maximum(self):
-        x, fx, _ = golden_section_max(lambda x: -(x - 2.0) ** 2, 1.0, 5.0, xtol=1e-12)
+        x, fx = _golden_section_max(lambda x: -(x - 2.0) ** 2, 1.0, 5.0, xtol=1e-12)
         assert x == pytest.approx(2.0, abs=1e-6)
         assert fx == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_maximum(self):
-        x, _, _ = golden_section_max(lambda x: x, 0.0, 1.0, xtol=1e-12)
+        x, _ = _golden_section_max(lambda x: x, 0.0, 1.0, xtol=1e-12)
         assert x == pytest.approx(1.0, abs=1e-6)
-
-    def test_array_of_brackets_matches_one_at_a_time(self):
-        # each problem keeps its own bracket, stop test and step count
-        peaks = np.array([2.0, -3.0, 0.5, 7.0, 1e6 + 3.0])
-        lo = np.array([1.0, -10.0, 0.5, 0.0, 1e6])
-        hi = np.array([5.0, 10.0, 3.0, 7.0, 1e6 + 10.0])
-        xtol = np.array([1e-12, 1e-3, 1e-9, 1e-10, 1e-4])
-        x, fx, steps = golden_section_max(lambda t: -(t - peaks) ** 2, lo, hi,
-                                          xtol=xtol, max_iter=60)
-        for k in range(len(peaks)):
-            calls = []
-
-            def f(t, k=k):
-                calls.append(t)
-                return -(t - peaks[k]) ** 2
-
-            want = scalar_golden_max(f, lo[k], hi[k], xtol[k], 60)
-            assert (x[k], fx[k]) == want
-            assert steps[k] + 3 == len(calls)
-        # narrowing 4 to 1e-12 takes 61 iterations: the first stops on the cap
-        assert steps.tolist() == [60, 21, 45, 52, 24]
 
 
 class TestMinimizeVariance:
     def test_quarter_phase_optimum(self):
         report = minimize_variance(0.125, math.pi / 2.0, BOX)
-        assert report.converged
         assert report.omega == pytest.approx(math.sqrt(6.0) / 4.0, abs=1e-4)
         assert report.delta == pytest.approx(0.25, abs=1e-4)
         assert report.value == pytest.approx(-0.25, abs=1e-8)
@@ -95,17 +72,48 @@ class TestMinimizeVariance:
         with pytest.raises(ValidationError):
             minimize_variance(0.125, 0.0, ((1.0, 0.0), (0.0, 1.0)))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bounds,message", [
+        (((0.0, 1.0), (-math.inf, 2.0)), "box delta bounds must be finite"),
+        (((0.0, math.nan), (0.0, 2.0)), "box omega bounds must be finite"),
+        (((0.0, 1.0), (2.0, -2.0)), "box delta bounds are reversed"),
+        (((-1.0, 1.0), (0.0, 2.0)), "box omega must not be negative"),
+    ])
+    def test_box_check(self, bounds, message):
+        with pytest.raises(ValidationError, match=message):
+            minimize_variance(0.2, 0.0, bounds)
+
     def test_frozen_box_is_one_evaluation(self):
         report = minimize_variance(0.2, 1.0, ((0.5, 0.5), (0.3, 0.3)))
-        assert (report.omega, report.delta, report.n_evals) == (0.5, 0.3, 1)
-        assert report.converged
+        assert (report.omega, report.delta) == (0.5, 0.3)
+        assert report.value == _variance(0.2, 1.0, 1.0, 0.5, 0.3)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_detuning_stays_finite(self):
-        # L = q + delta^2 overflows: the drive falls back to the box's low side
+        # L = q + delta^2 overflows at the ends; the minimum is the free
+        # optimum at delta = 0
         report = minimize_variance(0.2, 0.0, ((0.0, 1.0), (-1e200, 1e200)))
-        assert report.omega == 0.0
-        assert report.value == pytest.approx(1.0 - 1.0 / 1.4, rel=1e-15)
+        assert report.delta == 0.0
+        assert report.omega == pytest.approx(0.438, abs=1e-3)
+        assert report.value == pytest.approx(-0.24458818672676896, abs=1e-15)
+        assert report.value == pytest.approx(drive_optima(0.2, 1.0, 0.0, 0.0)[1],
+                                             abs=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n_sq,phi,bounds,want", [
+        # gamma_x = 1 and sin Phi = 0: the cubics lose two degrees
+        (0.125, 0.0, ((0.0, 3.0), (-1.0, 1.0)), -0.25),
+        # undriven, S_opt = 2N/(2N + 1) at every detuning
+        (0.2, 1.0, ((0.0, 0.0), (-1.0, 1.0)), 0.4 / 1.4),
+        # the drive may grow without bound: the free optimum
+        (0.3, 1.0, ((0.0, 1e200), (-2.0, 2.0)), None),
+    ])
+    def test_degenerate_boxes(self, n_sq, phi, bounds, want):
+        report = minimize_variance(n_sq, phi, bounds)
+        if want is None:
+            want = minimize_variance(n_sq, phi, ((0.0, 1e3), bounds[1])).value
+        assert report.value == pytest.approx(want, abs=1e-15)
+        assert report.value <= grid_minimum([n_sq], [phi], bounds)[0]
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_nodes_rank_below_finite_ones(self):
@@ -117,8 +125,10 @@ class TestMinimizeVariance:
             minimize_variance(0.2, 0.0, ((1e200, 1e201), (1e200, 1e201)))
 
     def test_far_detuned_box_converges(self):
-        report = minimize_variance(0.125, math.pi, ((0.0, 3e6), (1e6, 1e6 + 10.0)))
-        assert report.converged
+        bounds = ((0.0, 3e6), (1e6, 1e6 + 10.0))
+        report = minimize_variance(0.125, math.pi, bounds)
+        assert report.value <= scalar_search(0.125, math.pi, bounds)[2] + 1e-13
+        assert report.value == pytest.approx(-0.25, abs=1e-12)
 
 
 def _variance(n_sq, eta, phi, omega, delta):
@@ -167,9 +177,52 @@ def test_never_worse_than_nelder_mead():
         d_hi = d_lo if k % 5 == 0 else d_lo + rng.uniform(0.1, 4.0)
         bounds = ((w_lo, w_hi), (d_lo, d_hi))
         report = minimize_variance(n_sq, phi, bounds, eta=eta)
-        assert report.converged
         worst = max(worst, report.value - _nelder_mead_minimum(n_sq, phi, bounds, eta))
     assert worst <= 1e-12
+
+
+def test_exact_minimum_over_seeded_boxes():
+    """Never above the golden-section oracle or a 400 x 400 kernel grid."""
+    rng = np.random.default_rng(12)
+    worst_oracle = worst_grid = -np.inf
+    for k in range(400):
+        n_sq = 10.0 ** rng.uniform(-3.0, 1.0)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        eta = 1.0 if k % 2 else 0.9
+        w_lo = 0.0 if k % 3 else rng.uniform(0.0, 2.0)
+        w_hi = w_lo if k % 7 == 0 else w_lo + 10.0 ** rng.uniform(-1.0, 3.0)
+        width = 0.0 if k % 5 == 0 else 10.0 ** rng.uniform(-1.0, 3.0)
+        d_lo = rng.uniform(-3.0, 3.0) - width * rng.uniform(0.0, 1.0)
+        bounds = ((w_lo, w_hi), (d_lo, d_lo + width))
+        value = minimize_variance_batch([n_sq], [phi], bounds, eta=eta)[2][0]
+        worst_oracle = max(worst_oracle,
+                           value - scalar_search(n_sq, phi, bounds, eta=eta)[2])
+        worst_grid = max(worst_grid,
+                         value - grid_minimum([n_sq], [phi], bounds, eta)[0])
+    assert worst_oracle <= 1e-13
+    assert worst_grid <= 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_drive_optima_far_detuned_match_fifty_digits():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    n_sq, phi = 0.2, 2.0
+    m = mpmath.sqrt(mpmath.mpf(n_sq) * (n_sq + 1))
+    q = mpmath.mpf("0.25")
+    gx = n_sq + mpmath.mpf(0.5) + m * mpmath.cos(phi)
+    gz = 2 * n_sq + 1
+    for delta in 10.0 ** np.arange(77, 154, 4):
+        lorentz = q + mpmath.mpf(delta) ** 2
+        r = (delta + m * mpmath.sin(phi)) ** 2 + gx**2
+        gl = gx * lorentz
+        want = (gz * lorentz * (r - gl) / (gx * (gl + r)),
+                1 - (gl + r) ** 2 / (4 * gl * gz * r),
+                lorentz * (gz * r - 2 * gl) / (gx * r),
+                r * r / (4 * gl * (gz * r - gl)))
+        got = drive_optima(n_sq, 1.0, phi, delta)
+        for g, w in zip(got, want):
+            assert abs(g - float(w)) <= 1e-14 * abs(float(w)), delta
 
 
 def test_closed_form_optima_match_the_kernel():

@@ -14,15 +14,14 @@ from rfsq import (
     optimal_variance,
     pure_state,
     steady_state,
-    sz_plus_half,
     variance_theta,
 )
 from rfsq.optimize import drive_optima
+from rfsq.pure import sz_plus_half_grid
 from rfsq.errors import (
     AsymptoticConditionWarning,
     NoPureStateError,
     NumericalError,
-    UnitMismatchError,
     ValidationError,
 )
 
@@ -205,20 +204,19 @@ class TestMaximalFamily:
 
 class TestSzPlusHalf:
     def test_vanishes_at_the_maximal_point(self):
-        value = sz_plus_half(AtomFieldParams(
-            n_sq=0.125, phi=0.0, delta=0.0, omega=math.sqrt(3.0) / 4.0))
+        value = sz_plus_half_grid(0.125, 0.0, math.sqrt(3.0) / 4.0, 0.0)
         assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_undriven_reduction(self):
         # omega = 0 leaves (2N-1)/(2(2N+1)), positive above N = 1/2
         for n, delta in ((0.6, 0.0), (0.6, 3.0), (0.2, 1.0)):
-            value = sz_plus_half(AtomFieldParams(n_sq=n, omega=0.0, delta=delta))
+            value = sz_plus_half_grid(n, 0.0, 0.0, delta)
             assert value == pytest.approx(
                 (2.0 * n - 1.0) / (2.0 * (2.0 * n + 1.0)), rel=1e-14)
-        assert sz_plus_half(AtomFieldParams(n_sq=0.6, omega=0.0)) > 0.0
+        assert sz_plus_half_grid(0.6, 0.0, 0.0, 0.0) > 0.0
 
     def test_ground_state_corner(self):
-        assert sz_plus_half(AtomFieldParams()) == pytest.approx(-0.5, abs=1e-15)
+        assert sz_plus_half_grid(0.0, 0.0, 0.0, 0.0) == pytest.approx(-0.5, abs=1e-15)
 
     def test_matches_solver_over_sweep(self):
         rng = np.random.default_rng(43)
@@ -230,13 +228,8 @@ class TestSzPlusHalf:
                 delta=rng.uniform(-30.0, 30.0),
             )
             expected = steady_state(params).sz + 0.5
-            assert sz_plus_half(params) == pytest.approx(expected, abs=1e-10)
-
-    def test_refuses_other_units(self):
-        with pytest.raises(UnitMismatchError):
-            sz_plus_half(AtomFieldParams(gamma=2.0, omega=1.0))
-        with pytest.raises(UnitMismatchError):
-            sz_plus_half(AtomFieldParams(eta=0.5, n_sq=0.5, omega=1.0))
+            assert sz_plus_half_grid(params.n_sq, params.phi, params.omega,
+                                     params.delta) == pytest.approx(expected, abs=1e-10)
 
 
 class TestFindPureCurve:
@@ -269,10 +262,19 @@ class TestFindPureCurve:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_drive_is_a_numerical_error(self):
-        # the closed-form drive overflows to inf, where Sigma is NaN: an
-        # error, never a NaN result
-        with pytest.raises(NumericalError):
-            find_pure_curve(2.0, 0.2, 1e100)
+        # past |delta| ~ 1e154 the closed-form drive overflows to inf,
+        # where Sigma is NaN: an error, never a NaN result
+        with pytest.raises(NumericalError, match="overflows"):
+            find_pure_curve(2.0, 0.2, 1e160)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta", [1e77, 1e100, 1e150])
+    def test_far_detuned_slice_has_no_pure_state(self, delta):
+        # Sigma_max tends to 1/(1 + 4 M^2 sin^2 Phi) as delta grows
+        with pytest.raises(NoPureStateError) as err:
+            find_pure_curve(2.0, 0.2, delta)
+        limit = 1.0 / (1.0 + 4.0 * 0.2 * 1.2 * math.sin(2.0) ** 2)
+        assert err.value.sigma_max == pytest.approx(limit, rel=1e-12)
 
     def test_detuned_resonant_phase_has_no_pure_state(self):
         with pytest.raises(NoPureStateError) as err:

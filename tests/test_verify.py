@@ -3,7 +3,7 @@
 Each ``loop_*`` function below is the serial form of a `rfsq verify`
 check: it draws one point at a time and evaluates it with the scalar
 functions. The batched check must return the same (ok, detail), and the
-batched box search the same minima, bit for bit.
+batched box search the same minima as one-problem calls, bit for bit.
 """
 
 import math
@@ -36,9 +36,9 @@ from rfsq.optimize import (
     minimize_variance_batch,
 )
 from rfsq.params import AtomFieldParams, decay_rates
-from rfsq.pure import sz_plus_half, sz_plus_half_grid
+from rfsq.pure import sz_plus_half_grid
 
-from search_oracle import scalar_search
+from search_oracle import grid_minimum, scalar_search
 from steady_oracle import system_of
 
 SEEDS = (42, 101, 102)
@@ -63,7 +63,9 @@ def loop_relaxation_oracle(seed=42, fast=False):
     for params, state in zip(draws, relaxed):
         direct = steady_state(params)
         worst_state = max(worst_state, np.abs(direct.as_array() - state).max())
-        worst_sz = max(worst_sz, abs(sz_plus_half(params) - (direct.sz + 0.5)))
+        sz_plus_half = sz_plus_half_grid(params.n_sq, params.phi, params.omega,
+                                         params.delta)
+        worst_sz = max(worst_sz, abs(sz_plus_half - (direct.sz + 0.5)))
     ok = worst_state < 1e-7 and worst_sz <= 1e-10
     return ok, (
         f"max |direct - relaxed| = {worst_state:.2e} (tol 1e-7); "
@@ -109,7 +111,13 @@ def loop_phase_optimality(seed=42, fast=False):
     )
 
 
-def loop_certify_n_eighth(tolerance, phases, coarse):
+def one_problem(n_sq, phi, bounds, eta=1.0):
+    """(omega, delta, value) of ``minimize_variance_batch`` on one problem."""
+    return tuple(column[0] for column in
+                 minimize_variance_batch([n_sq], [phi], bounds, eta=eta))
+
+
+def loop_certify_n_eighth(tolerance, phases, search=one_problem):
     grid = [round(0.02 * k, 10) for k in range(1, 26)]
     grid.append(0.125)
     grid.sort()
@@ -118,8 +126,7 @@ def loop_certify_n_eighth(tolerance, phases, coarse):
     for n in grid:
         best = None
         for phi in phases:
-            omega, delta, value, _, _ = scalar_search(n, phi, CERTIFY_BOX,
-                                                      coarse=coarse)
+            omega, delta, value = search(n, phi, CERTIFY_BOX)[:3]
             if best is None or value < best[2]:
                 best = (omega, delta, value, phi)
         minima.append(best[2])
@@ -152,8 +159,7 @@ def certify_phases(fast):
 
 def loop_photon_number_certification(seed=42, fast=False):
     try:
-        report = loop_certify_n_eighth(1e-6, certify_phases(fast),
-                                       32 if fast else 64)
+        report = loop_certify_n_eighth(1e-6, certify_phases(fast))
     except CertificationFailedError as exc:
         return False, f"{exc}: {exc.offenders}"
     ok = min(report.sigmas) > 0.98
@@ -253,8 +259,9 @@ def test_array_forms_match_the_scalar_functions():
     stack = BlochState(*(np.array(c) for c in zip(*(s.as_array() for s in states))))
     assert np.allclose(optimal_variance(stack),
                        [optimal_variance(s) for s in states], rtol=0, atol=ulp2)
-    assert np.allclose(sz_plus_half_grid(*draws), [sz_plus_half(p) for p in params],
-                       rtol=0, atol=ulp2)
+    assert np.allclose(sz_plus_half_grid(*draws),
+                       [sz_plus_half_grid(p.n_sq, p.phi, p.omega, p.delta)
+                        for p in params], rtol=0, atol=ulp2)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -270,9 +277,16 @@ def test_draws_are_the_scalar_stream(seed):
 @pytest.mark.parametrize("fast", [False, True])
 def test_certification_matches_the_serial_searches(fast):
     phases = certify_phases(fast)
-    coarse = 32 if fast else 64
-    assert (certify_n_eighth(1e-6, phases, coarse)
-            == loop_certify_n_eighth(1e-6, phases, coarse))
+    report = certify_n_eighth(1e-6, phases)
+    assert report == loop_certify_n_eighth(1e-6, phases)
+    # the golden-section oracle and a kernel grid of the box never go lower
+    oracle = loop_certify_n_eighth(1e-6, phases, search=scalar_search)
+    assert np.all(np.array(report.minima) <= np.array(oracle.minima) + 1e-13)
+    n_sq = np.repeat(report.n_values, len(phases))
+    phi = np.tile(phases, len(report.n_values))
+    grid = grid_minimum(n_sq, phi, CERTIFY_BOX, nodes=200)
+    assert np.all(np.array(report.minima) <= grid.reshape(len(report.n_values), -1)
+                  .min(axis=1))
 
 
 BOXES = [
@@ -286,9 +300,8 @@ BOXES = [
 ]
 
 
-def as_bits(omega, delta, value, n_evals, converged):
-    return (float(omega).hex(), float(delta).hex(), float(value).hex(),
-            int(n_evals), bool(converged))
+def as_bits(*columns):
+    return tuple(float(x).hex() for x in columns)
 
 
 @pytest.mark.filterwarnings("error")
@@ -296,15 +309,21 @@ def as_bits(omega, delta, value, n_evals, converged):
 @pytest.mark.parametrize("coarse", [64, 2])
 @pytest.mark.parametrize("bounds", BOXES)
 def test_batched_search_is_the_scalar_search(bounds, coarse, eta):
+    """Each problem of a batch gets what a one-problem call gets, and
+    neither the golden-section oracle (seeded on ``coarse`` nodes) nor a
+    kernel grid of the box finds a lower value."""
     rng = np.random.default_rng(7)
     n_sq = 10.0 ** rng.uniform(-6.0, 3.0, 24)
     phi = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 24)
-    batched = minimize_variance_batch(n_sq, phi, bounds, eta=eta, coarse=coarse)
+    batched = minimize_variance_batch(n_sq, phi, bounds, eta=eta)
+    value = batched[2]
     for k in range(len(n_sq)):
-        want = as_bits(*scalar_search(float(n_sq[k]), float(phi[k]), bounds,
-                                      eta=eta, coarse=coarse))
-        assert as_bits(*(column[k] for column in batched)) == want
-    report = minimize_variance(float(n_sq[0]), float(phi[0]), bounds, eta=eta,
-                               coarse=coarse)
-    assert as_bits(report.omega, report.delta, report.value, report.n_evals,
-                   report.converged) == as_bits(*(column[0] for column in batched))
+        got = as_bits(*(column[k] for column in batched))
+        assert got == as_bits(*one_problem(n_sq[k], phi[k], bounds, eta))
+        oracle = scalar_search(float(n_sq[k]), float(phi[k]), bounds, eta=eta,
+                               coarse=coarse)[2]
+        assert value[k] <= oracle + 1e-13
+    assert np.all(value <= grid_minimum(n_sq, phi, bounds, eta, nodes=101))
+    report = minimize_variance(float(n_sq[0]), float(phi[0]), bounds, eta=eta)
+    assert as_bits(report.omega, report.delta, report.value) == \
+        as_bits(*(column[0] for column in batched))
