@@ -138,7 +138,12 @@ def _parse_axis(text: str) -> AxisSpec:
         )
     name = parts[0]
     scalar = parse_angle if name in ("phi", "theta") else float
-    return AxisSpec(name, scalar(parts[1]), scalar(parts[2]), int(parts[3]))
+    try:
+        count = int(parts[3])
+    except ValueError:
+        raise ValidationError(
+            f"axis {name} count must be an integer, got {parts[3]!r}") from None
+    return AxisSpec(name, scalar(parts[1]), scalar(parts[2]), count)
 
 
 @_flag_type
@@ -208,7 +213,8 @@ def build_parser() -> _Parser:
                         "(closed form, any eta)")
 
     p_cross = sub.add_parser("crossover",
-                             help="photon number where output stops beating input")
+                             help="photon number where the pure-state output stops "
+                             "beating the input")
     _add_params(p_cross, "eta")
     _add_output(p_cross)
 

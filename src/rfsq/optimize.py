@@ -2,9 +2,10 @@
 
 The objective is the optimal-quadrature variance S_opt of the steady
 state over the drive (omega, delta). At fixed delta its optimum over
-omega, and that of the purity Sigma, are closed forms (``drive_optima``),
-so a box minimum is one of a few closed-form candidates in delta. The
-amplification crossover is analytic. All routines work in gamma = 1
+omega, that of any fixed quadrature's variance S_theta and that of the
+purity Sigma are closed forms (``drive_optima``), so a box minimum is
+one of a few closed-form candidates in delta; nothing here searches.
+The pure-state crossover is analytic. All routines work in gamma = 1
 units.
 """
 
@@ -57,20 +58,22 @@ def check_box_side(name: str, lo: float, hi: float, spelled=None) -> None:
         raise ValidationError(f"box omega must not be negative, got {got!r}")
 
 
-def drive_optima(n_sq, eta, phi, delta):
+def drive_optima(n_sq, eta, phi, delta, theta=None):
     """Closed-form optima over the drive strength at fixed delta (gamma = 1).
 
-    With L = q + delta^2, R = (delta + M sin Phi)^2 + gamma_x^2 and
+    With L = q + delta^2, u = delta + M sin Phi, R = u^2 + gamma_x^2 and
     D = gamma_z L + omega^2 gamma_x, the steady state has
-    Sigma = (omega^2 R + L^2)/D^2 and S_opt = 1 - L/D - omega^2 R/D^2;
-    the derivative of either in w = omega^2 has a numerator linear in w,
-    so each has one extremum. Returns (w_min, s_min, w_pure, sigma_max):
-    S_opt is least at w_min and Sigma greatest at w_pure. A negative w
-    puts the optimum at omega = 0, where the values do not apply.
-    Polymorphic over scalars and broadcastable arrays. Products of L and
-    R overflow from |delta| ~ 1e77, so past |delta| = 2^200 both are
-    computed divided by 4^e, with 2^e the binary order of delta, an
-    exact scaling; w_min and w_pure overflow to inf past |delta| ~ 1e154.
+    Sigma = (omega^2 R + L^2)/D^2 and S_opt = 1 - L/D - omega^2 R/D^2, and
+    S_theta is S_opt with R replaced by (u cos theta + gamma_x sin theta)^2.
+    The derivative of each in w = omega^2 has a numerator linear in w, so
+    each has one extremum. Returns (w_min, s_min, w_pure, sigma_max):
+    S_opt (S_theta when ``theta`` is given) is least at w_min and Sigma
+    greatest at w_pure. A negative w puts the optimum at omega = 0, where
+    the values do not apply. Polymorphic over scalars and broadcastable
+    arrays. Products of L and R overflow from |delta| ~ 1e77, so past
+    |delta| = 2^200 all are computed divided by 4^e, with 2^e the binary
+    order of delta, an exact scaling; w_min and w_pure overflow to inf
+    past |delta| ~ 1e154.
     """
     m, q, gx, _, gz = decay_rates(1.0, n_sq, eta, phi)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -79,9 +82,10 @@ def drive_optima(n_sq, eta, phi, delta):
         delta, u, gx_r = (np.ldexp(x, -e) for x in (delta, u, gx))
         lorentz = np.ldexp(q, -2 * e) + delta * delta
         r = u * u + gx_r * gx_r
+        rho = r if theta is None else (u * np.cos(theta) + gx_r * np.sin(theta)) ** 2
         gl = gx * lorentz
-        w_min = np.ldexp(gz * lorentz * (r - gl) / (gx * (gl + r)), 2 * e)
-        s_min = 1.0 - (gl + r) ** 2 / (4.0 * gl * gz * r)
+        w_min = np.ldexp(gz * lorentz * (rho - gl) / (gx * (gl + rho)), 2 * e)
+        s_min = 1.0 - (gl + rho) ** 2 / (4.0 * gl * gz * rho)
         w_pure = np.ldexp(lorentz * (gz * r - 2.0 * gl) / (gx * r), 2 * e)
         sigma_max = r * r / (4.0 * gl * (gz * r - gl))
     return w_min, s_min, w_pure, sigma_max
@@ -183,11 +187,12 @@ def minimize_variance(
 
 
 def find_crossover(eta: float = 1.0) -> float:
-    """Photon number where fluorescence squeezing stops beating the input.
+    """Photon number where the pure-state output stops beating the input.
 
     The root of pure_state_variance(N) - input_vacuum_variance(N). For
     the ideal reservoir the equation reduces to N + M = 3/2, with
-    M = sqrt(N(N+1)), whose root is N* = 9/16.
+    M = sqrt(N(N+1)), whose root is N* = 9/16. The best drive still beats
+    the input there: -13/68 against -3/16 (its state is not the pure one).
     """
     if eta != 1.0:
         raise ValidationError("crossover is defined for the ideal reservoir (eta = 1)")

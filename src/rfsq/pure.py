@@ -169,25 +169,29 @@ def find_pure_curve(
 
     omega = sqrt(w_pure) from the closed form of ``drive_optima``, or 0
     when w_pure is negative; Sigma is evaluated there with the
-    steady-state kernel. Returns (omega, sigma_max); raises
-    NoPureStateError when the slice never comes within 1e-4 of purity, and
-    NumericalError when the steady state there overflows.
+    steady-state kernel, or, where w_pure overflows to inf (past
+    |delta| ~ 1e154), it is the closed form's finite sigma_max. Returns
+    (omega, sigma_max); raises NoPureStateError when the slice never
+    comes within 1e-4 of purity, and NumericalError when the steady
+    state or the drive of a near-pure slice overflows.
     Points with sigma_max >= 1 - 1e-7 count as pure.
     """
     _require_photons(n_sq)
-    w_pure = drive_optima(n_sq, eta, phi, delta)[2]
+    _, _, w_pure, sigma = drive_optima(n_sq, eta, phi, delta)
     omega = math.sqrt(w_pure) if w_pure > 0.0 else 0.0  # also when NaN
-    with np.errstate(all="ignore"):
-        sigma = float(BlochState(*steady_state_grid(1.0, n_sq, eta, phi, omega,
-                                                    delta)).sigma)
-    if not math.isfinite(sigma):
-        raise NumericalError(
-            f"the steady state overflows at delta = {delta!r}, omega = {omega!r}")
+    if omega < math.inf:
+        with np.errstate(all="ignore"):
+            sigma = BlochState(*steady_state_grid(1.0, n_sq, eta, phi, omega,
+                                                  delta)).sigma
+    sigma = float(sigma)
     if sigma < 1.0 - 1e-4:
         raise NoPureStateError(
             f"no pure state on this slice; best Sigma = {sigma:.6f}",
             sigma_max=sigma,
         )
+    if not (math.isfinite(sigma) and omega < math.inf):
+        raise NumericalError(
+            f"the steady state overflows at delta = {delta!r}, omega = {omega!r}")
     return omega, sigma
 
 

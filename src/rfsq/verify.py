@@ -7,11 +7,11 @@ gamma = 1, ideal reservoir). ``fast`` shrinks the sweep sizes for a
 quick smoke run. The sweeps are batched: a check draws all its points
 with one generator call and evaluates them with array calls of the
 shipped functions (the relaxations with one ``relax_batch``, the
-photon-number certification with one ``minimize_variance_batch``);
-only csv-roundtrip keeps a scalar ``full_report`` loop, because it
-compares that path with the grid path. The in-phase minima over omega
-take a scalar golden-section search: the theta = 0 variance has no
-closed-form optimum.
+photon-number certification with one ``minimize_variance_batch``).
+Two checks keep a scalar loop, as the scalar path is what they test:
+csv-roundtrip (``full_report`` against the grid path) and maximal-family
+(``pure_state`` and ``steady_state``, the path of ``rfsq pure``). The
+minima over omega are the closed form of ``drive_optima``: no search.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .metrics import (
     pure_state_variance,
     variance_theta,
 )
-from .optimize import certify_n_eighth, find_crossover
+from .optimize import certify_n_eighth, drive_optima, find_crossover
 from .params import AtomFieldParams, decay_rates
 from .pure import pure_state, sz_plus_half_grid
 from .scan import AxisSpec, ScanSpec, scan
@@ -67,31 +67,17 @@ def _params(n_sq, phi, omega, delta) -> AtomFieldParams:
                            omega=float(omega), delta=float(delta))
 
 
-def _golden_section_max(f, a, b, xtol=1e-10):
-    """Golden-section maximum (x, f(x)) of a unimodal f on [a, b], to xtol in x."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc > fd:  # the maximum lies in [a, d]
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b), f(0.5 * (a + b))
+def _min_over_omega(n_sq, phi, delta, theta=None):
+    """(omega, least S_opt, or S_theta if theta is given) over omega >= 0.
 
-
-def _min_over_omega(n_sq, phi, delta, variance_of_state, lo=5.0, hi=40.0):
-    """(omega, least variance) over omega in [lo, hi] at one detuning."""
-    def f(omega):
-        params = AtomFieldParams(n_sq=n_sq, phi=phi, omega=omega, delta=delta)
-        return variance_of_state(steady_state(params))
-
-    omega, neg = _golden_section_max(lambda w: -f(w), lo, hi)
-    return omega, -neg
+    The drive is the closed form of ``drive_optima``, the value the steady state's.
+    """
+    w_min = float(drive_optima(n_sq, 1.0, phi, delta, theta)[0])
+    omega = math.sqrt(max(w_min, 0.0))
+    state = steady_state(AtomFieldParams(n_sq=n_sq, phi=phi, omega=omega,
+                                         delta=delta))
+    return omega, (optimal_variance(state) if theta is None
+                   else variance_theta(state, theta))
 
 
 def check_maximal_family(seed=42, fast=False):
@@ -143,9 +129,8 @@ def check_detuned_inphase_minimum(seed=42, fast=False):
     theta = 0 variance carries an extra coherence term of ~3e-4 and is
     held to -0.25 +- 2e-3.
     """
-    w_opt, v_opt = _min_over_omega(0.125, math.pi, 12.5, optimal_variance)
-    w_x, v_x = _min_over_omega(0.125, math.pi, 12.5,
-                               lambda s: variance_theta(s, 0.0))
+    w_opt, v_opt = _min_over_omega(0.125, math.pi, 12.5)
+    w_x, v_x = _min_over_omega(0.125, math.pi, 12.5, theta=0.0)
     ok = (
         abs(w_opt - 21.65) <= 0.1
         and -0.2505 < v_opt < -0.249
@@ -160,7 +145,7 @@ def check_detuned_inphase_minimum(seed=42, fast=False):
 
 def check_moderate_n_inphase_minimum(seed=42, fast=False):
     """In-phase squeezing at N = 0.1, Phi = pi, Delta = 10 dips below -0.245 near omega = 15.7."""
-    w, v = _min_over_omega(0.1, math.pi, 10.0, lambda s: variance_theta(s, 0.0))
+    w, v = _min_over_omega(0.1, math.pi, 10.0, theta=0.0)
     ok = v <= -0.245 and abs(w - 15.7) <= 0.5
     return ok, f"min S_X = {v:.6f} at omega = {w:.4f} (needs <= -0.245 within 15.7 +- 0.5)"
 
@@ -172,7 +157,7 @@ def check_input_benchmark_degree(seed=42, fast=False):
 
 
 def check_amplification_crossover(seed=42, fast=False):
-    """Output beats input for N below the crossover at N* = 0.5625."""
+    """The pure-state output beats the input for N below its crossover N* = 0.5625."""
     n_star = find_crossover()
     gap_star = pure_state_variance(n_star) - input_vacuum_variance(n_star)
     if abs(n_star - 0.5625) > 1e-3 or abs(gap_star) > 1e-12:
@@ -190,12 +175,11 @@ def check_pure_variance_law(seed=42, fast=False):
     v = pure_state_variance(0.125)
     if abs(v + 0.25) > 1e-15:
         return False, f"variance at N = 1/8 is {float(v)!r}, expected -0.25"
-    worst = 0.0
-    for n in np.linspace(0.01, 2.0, 50):
-        m = math.sqrt(n * (n + 1.0))
-        sz = (n - m) / (n + m)
-        worst = max(worst, abs(pure_state_variance(n) - sz * (1.0 + sz)))
-    return worst <= 1e-14, f"identity deviation {worst:.2e} (tol 1e-14)"
+    ns = np.linspace(0.01, 2.0, 50)
+    m = np.sqrt(ns * (ns + 1.0))
+    sz = (ns - m) / (ns + m)
+    worst = np.max(np.abs(pure_state_variance(ns) - sz * (1.0 + sz)))
+    return bool(worst <= 1e-14), f"identity deviation {worst:.2e} (tol 1e-14)"
 
 
 def check_relaxation_oracle(seed=42, fast=False):
@@ -286,9 +270,8 @@ def check_rates_and_bounds(seed=42, fast=False):
     state = BlochState(*steady_state_grid(1.0, draws[0], 1.0, *draws[1:]))
     worst_sigma = np.max(state.sigma - 1.0, initial=0.0)
     worst_floor = np.max(-0.25 - optimal_variance(state), initial=0.0)
-    corr_ok = all(
-        math.sqrt(n * (n + 1.0)) > n for n in np.linspace(1e-4, 10.0, 100)
-    )
+    ns = np.linspace(1e-4, 10.0, 100)
+    corr_ok = np.all(np.sqrt(ns * (ns + 1.0)) > ns)
     ok = bool(worst_sum < 1e-14 and worst_sigma <= 1e-9 and worst_floor <= 1e-9
               and corr_ok)
     return ok, (

@@ -291,11 +291,13 @@ def test_warning_is_one_line(capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_far_detuned_purest_drive_is_no_pure_state(capsys):
-    code, out, err = run(capsys, "pure", "--n", "0.2", "--phi", "2",
-                         "--delta", "1e100", "--solve-omega")
-    assert (code, out) == (2, "")
-    assert err == ("error: NoPureState: no pure state on this slice; "
-                   "best Sigma = 0.557492\n")
+    # past |delta| ~ 1e154 the drive overflows, and Sigma is the closed form's
+    for delta in ("1e100", "1e160"):
+        code, out, err = run(capsys, "pure", "--n", "0.2", "--phi", "2",
+                             "--delta", delta, "--solve-omega")
+        assert (code, out) == (2, "")
+        assert err == ("error: NoPureState: no pure state on this slice; "
+                       "best Sigma = 0.557492\n")
 
 
 def test_pure_solver_failure_is_numerical(capsys):
@@ -336,6 +338,16 @@ def test_validation_exit_codes(capsys):
      "argument --box: box side omega is given twice"),
     (("optimize", "--box", "delta:-1e400:2,omega:0:1"),
      "argument --box: box delta bounds must be finite, got 'delta:-1e400:2'"),
+    (("report", "--n", "nan"), "n_sq must be finite, got nan"),
+    (("report", "--delta", "1e400"), "delta must be finite, got inf"),
+    (("scan", "--metric", "s_x", "--axis1", "omega:0:nan:3"),
+     "argument --axis1: axis omega bounds must be finite"),
+    (("scan", "--metric", "s_x", "--axis1", "omega:0:1e400:3"),
+     "argument --axis1: axis omega bounds must be finite"),
+    (("scan", "--metric", "s_x", "--axis1", "omega:1:0:3"),
+     "argument --axis1: axis omega needs start < stop, got [1.0, 0.0]"),
+    (("scan", "--metric", "s_x", "--axis1", "omega:0:1:3.5"),
+     "argument --axis1: axis omega count must be an integer, got '3.5'"),
 ])
 @pytest.mark.filterwarnings("error")
 def test_converter_errors_keep_their_message(capsys, argv, message):

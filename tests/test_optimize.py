@@ -1,4 +1,4 @@
-"""Optimum location, closed-form drive optima, the crossover and golden section."""
+"""Optimum location, closed-form drive optima and the crossover."""
 
 import math
 
@@ -21,22 +21,11 @@ from rfsq import (
 from rfsq.bloch import steady_state_grid
 from rfsq.errors import NumericalError, ValidationError
 from rfsq.optimize import drive_optima, minimize_variance_batch
-from rfsq.verify import _golden_section_max, _min_over_omega
+from rfsq.verify import _min_over_omega
 
 from search_oracle import grid_minimum, scalar_search
 
 BOX = ((0.0, 3.0), (0.0, 2.0))
-
-
-class TestGoldenSection:
-    def test_interior_maximum(self):
-        x, fx = _golden_section_max(lambda x: -(x - 2.0) ** 2, 1.0, 5.0, xtol=1e-12)
-        assert x == pytest.approx(2.0, abs=1e-6)
-        assert fx == pytest.approx(0.0, abs=1e-12)
-
-    def test_boundary_maximum(self):
-        x, _ = _golden_section_max(lambda x: x, 0.0, 1.0, xtol=1e-12)
-        assert x == pytest.approx(1.0, abs=1e-6)
 
 
 class TestMinimizeVariance:
@@ -131,9 +120,13 @@ class TestMinimizeVariance:
         assert report.value == pytest.approx(-0.25, abs=1e-12)
 
 
-def _variance(n_sq, eta, phi, omega, delta):
+def _variance(n_sq, eta, phi, omega, delta, theta=None):
+    """S_opt, or S_theta when theta is given, from the kernel."""
     sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
-    return 1.0 + sz - sx * sx - sy * sy
+    if theta is None:
+        return 1.0 + sz - sx * sx - sy * sy
+    coherence = sx * np.cos(theta) - sy * np.sin(theta)
+    return 1.0 + sz - coherence * coherence
 
 
 def _nelder_mead_minimum(n_sq, phi, bounds, eta):
@@ -241,6 +234,38 @@ def test_closed_form_optima_match_the_kernel():
     sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi,
                                    np.sqrt(np.maximum(w_pure, 0.0)), delta)
     assert np.abs(sx * sx + sy * sy + sz * sz - sigma_max)[inner].max() <= 1e-14
+    # a fixed quadrature: its own w_min and s_min, the same w_pure and sigma_max
+    for theta in (0.0, math.pi / 4.0, math.pi / 2.0, rng.uniform(0.0, math.pi, 400)):
+        w_th, s_th, w_pure_th, sigma_th = drive_optima(n_sq, eta, phi, delta, theta)
+        assert np.array_equal(w_pure_th, w_pure)
+        assert np.array_equal(sigma_th, sigma_max)
+        inner = w_th > 0.0
+        assert inner.sum() > 10
+        s_at = _variance(n_sq, eta, phi, np.sqrt(np.maximum(w_th, 0.0)), delta,
+                         theta)
+        assert np.abs(s_at - s_th)[inner].max() <= 1e-14
+        assert np.all(s_th[inner] >= s_min[inner] - 1e-14)
+
+
+def test_closed_form_never_above_a_dense_omega_grid():
+    # the drive of the closed form, clipped to omega >= 0, is the global
+    # minimum over omega of the kernel's S_opt and of every S_theta
+    rng = np.random.default_rng(13)
+    count = 200
+    n_sq = 10.0 ** rng.uniform(-3.0, 1.0, count)
+    eta = np.where(np.arange(count) % 2, 1.0, rng.uniform(0.0, 1.0, count))
+    phi = rng.uniform(0.0, 2.0 * math.pi, count)
+    delta = rng.uniform(-20.0, 20.0, count)
+    nodes = np.linspace(0.0, 1.0, 20_001)
+    for theta in (None, rng.uniform(0.0, math.pi, count)):
+        omega = np.sqrt(np.maximum(drive_optima(n_sq, eta, phi, delta, theta)[0], 0.0))
+        at_optimum = _variance(n_sq, eta, phi, omega, delta, theta)
+        for k in range(0, count, 20):  # 20 draws at a time keep the grid small
+            rows = slice(k, k + 20)
+            draw = [x[rows, None] for x in (n_sq, eta, phi, delta)]
+            grid_min = _variance(*draw[:3], nodes * (2.0 * omega[rows, None] + 10.0),
+                                 draw[3], None if theta is None else theta[rows, None])
+            assert np.max(at_optimum[rows] - grid_min.min(axis=1)) <= 1e-12
 
 
 @pytest.mark.parametrize("n_sq,delta,variance_of_state", [
@@ -249,16 +274,19 @@ def test_closed_form_optima_match_the_kernel():
     (0.1, 10.0, lambda state: variance_theta(state, 0.0)),
 ])
 def test_verify_omega_search_matches_brent(n_sq, delta, variance_of_state):
+    """verify's closed-form drive against scipy's bounded Brent search."""
     optimize = pytest.importorskip("scipy.optimize")
-    omega, value = _min_over_omega(n_sq, math.pi, delta, variance_of_state)
+    theta = None if variance_of_state is optimal_variance else 0.0
+    omega, value = _min_over_omega(n_sq, math.pi, delta, theta)
 
     def f(w):
         params = AtomFieldParams(n_sq=n_sq, phi=math.pi, omega=w, delta=delta)
         return variance_of_state(steady_state(params))
 
-    brent = optimize.minimize_scalar(f, bounds=(5.0, 40.0), method="bounded",
+    brent = optimize.minimize_scalar(f, bounds=(0.0, 100.0), method="bounded",
                                      options={"xatol": 1e-10})
     assert omega == pytest.approx(brent.x, abs=1e-6)
+    assert value <= brent.fun + 1e-15
     assert value == pytest.approx(brent.fun, abs=1e-13)
 
 
@@ -274,6 +302,16 @@ class TestCrossover:
         assert gap(1.0) > 0.0   # amplification lost at large N
         for n in np.linspace(0.02, 0.55, 54):
             assert gap(float(n)) < 0.0
+
+    @pytest.mark.parametrize("phi", [math.pi / 2.0, 1.0, 2.5])
+    def test_best_drive_still_beats_the_input_at_the_crossover(self, phi):
+        # the crossover is that of the pure-state output: at N* the optimum
+        # over the drive is -13/68, 1/272 below the input's -3/16
+        n_star = find_crossover()
+        best = minimize_variance(n_star, phi, ((0.0, 50.0), (-50.0, 50.0))).value
+        assert best == pytest.approx(-13.0 / 68.0, abs=1e-15)
+        assert best - input_vacuum_variance(n_star) == pytest.approx(-1.0 / 272.0,
+                                                                     abs=1e-15)
 
     def test_requires_ideal_reservoir(self):
         with pytest.raises(ValidationError):

@@ -261,20 +261,21 @@ class TestFindPureCurve:
         assert math.isfinite(err.value.sigma_max)
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_drive_is_a_numerical_error(self):
-        # past |delta| ~ 1e154 the closed-form drive overflows to inf,
-        # where Sigma is NaN: an error, never a NaN result
-        with pytest.raises(NumericalError, match="overflows"):
-            find_pure_curve(2.0, 0.2, 1e160)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("delta", [1e77, 1e100, 1e150])
+    @pytest.mark.parametrize("delta", [1e77, 1e100, 1e150, 1e160, 1e300])
     def test_far_detuned_slice_has_no_pure_state(self, delta):
-        # Sigma_max tends to 1/(1 + 4 M^2 sin^2 Phi) as delta grows
+        # Sigma_max tends to 1/(1 + 4 M^2 sin^2 Phi) as delta grows; past
+        # |delta| ~ 1e154 the drive overflows but the closed form does not
         with pytest.raises(NoPureStateError) as err:
             find_pure_curve(2.0, 0.2, delta)
         limit = 1.0 / (1.0 + 4.0 * 0.2 * 1.2 * math.sin(2.0) ** 2)
         assert err.value.sigma_max == pytest.approx(limit, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_near_pure_drive_is_a_numerical_error(self):
+        # at Phi = pi the far-detuned slice is nearly pure, but its drive
+        # overflows to inf: an error, never an infinite omega
+        with pytest.raises(NumericalError, match="overflows"):
+            find_pure_curve(math.pi, 0.2, 1e160)
 
     def test_detuned_resonant_phase_has_no_pure_state(self):
         with pytest.raises(NoPureStateError) as err:
