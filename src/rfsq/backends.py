@@ -31,22 +31,22 @@ from .params import decay_rates
 CHECK_STRIDE = 16
 
 
-def steady_grid(gamma, n_sq, eta, phi, omega, delta):
+def steady_grid(n_sq, eta, phi, omega, delta):
     """Steady Bloch vector (sx, sy, sz) over scalars or broadcastable arrays.
 
-    When L = gamma^2 q + delta^2 and omega^2 both overflow the state is
-    NaN. When only omega^2 overflows it is the strong-drive limit (0, 0, 0);
-    when only L does, the undriven state, which is the limit only while
+    When L = q + delta^2 and omega^2 both overflow the state is NaN. When
+    only omega^2 overflows it is the strong-drive limit (0, 0, 0); when
+    only L does, the undriven state, which is the limit only while
     omega^2 gx stays small against L.
     """
-    m, q, gx, _, gz = decay_rates(gamma, n_sq, eta, phi)
-    u = delta + gamma * m * np.sin(phi)
-    # gx gy + u v = gamma^2 q + delta^2, with v = delta - gamma M sin(phi)
-    lorentz = gamma * gamma * q + delta * delta
-    # sz = -gamma L / D and sy = omega gamma gx / D, with D = gz L + omega^2 gx;
-    # divided through by L, neither needs the cancelling (omega sy - gamma) / gz
+    m, q, gx, _, gz = decay_rates(n_sq, eta, phi)
+    u = delta + m * np.sin(phi)
+    # gx gy + u v = q + delta^2, with v = delta - M sin(phi)
+    lorentz = q + delta * delta
+    # sz = -L / D and sy = omega gx / D, with D = gz L + omega^2 gx; divided
+    # through by L, neither needs the cancelling (omega sy - 1) / gz
     gx_l = gx / lorentz
-    sz = -gamma / (gz + omega * omega * gx_l)
+    sz = -1.0 / (gz + omega * omega * gx_l)
     sy = -omega * gx_l * sz
     sx = -u * sy / gx
     return sx, sy, sz

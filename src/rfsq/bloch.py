@@ -3,14 +3,14 @@
 The expectation values s = (<sx>, <sy>, <sz>) obey the linear system
 ds/dt = A s + b with
 
-    A = [[-gamma_x,          -(delta + g M sinPhi),  0     ],
-         [ delta - g M sinPhi, -gamma_y,            -omega ],
-         [ 0,                   omega,              -gamma_z]],
-    b = (0, 0, -gamma),
+    A = [[-gamma_x,          -(delta + M sinPhi),  0     ],
+         [ delta - M sinPhi,  -gamma_y,            -omega ],
+         [ 0,                  omega,              -gamma_z]],
+    b = (0, 0, -1),
 
-where g M is shorthand for gamma * M. A is Hurwitz for every valid
-parameter set (Routh-Hurwitz margins are strictly positive), so the
-steady state is unique and attracting. It is computed in closed form
+with every rate and frequency in units of gamma. A is Hurwitz for every
+valid parameter set (Routh-Hurwitz margins are strictly positive), so
+the steady state is unique and attracting. It is computed in closed form
 (``backends.steady_grid``); relaxation under the fixed-step RK4 map
 (``relax_batch``) provides an independent time-domain oracle.
 """
@@ -73,23 +73,23 @@ class BlochSystem:
     b_vector: np.ndarray
 
 
-def system_grid(gamma, n_sq, eta, phi, omega, delta) -> BlochSystem:
+def system_grid(n_sq, eta, phi, omega, delta) -> BlochSystem:
     """Bloch coefficients over broadcastable parameter arrays.
 
     a_matrix is (..., 3, 3) and b_vector (..., 3), with ... the broadcast
     shape: one system for scalar inputs, a stack for arrays.
     """
-    gamma, n_sq, eta, phi, omega, delta = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (gamma, n_sq, eta, phi, omega, delta)))
-    m, _, gamma_x, gamma_y, gamma_z = decay_rates(gamma, n_sq, eta, phi)
-    gm_sin = gamma * m * np.sin(phi)
-    zero = np.zeros_like(gamma)
+    n_sq, eta, phi, omega, delta = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (n_sq, eta, phi, omega, delta)))
+    m, _, gamma_x, gamma_y, gamma_z = decay_rates(n_sq, eta, phi)
+    m_sin = m * np.sin(phi)
+    zero = np.zeros_like(n_sq)
     a = np.stack([
-        np.stack([-gamma_x, -(delta + gm_sin), zero], axis=-1),
-        np.stack([delta - gm_sin, -gamma_y, -omega], axis=-1),
+        np.stack([-gamma_x, -(delta + m_sin), zero], axis=-1),
+        np.stack([delta - m_sin, -gamma_y, -omega], axis=-1),
         np.stack([zero, omega, -gamma_z], axis=-1),
     ], axis=-2)
-    b = np.stack([zero, zero, -gamma], axis=-1)
+    b = np.stack([zero, zero, zero - 1.0], axis=-1)
     return BlochSystem(a_matrix=a, b_vector=b)
 
 
@@ -100,10 +100,7 @@ def steady_state(params: AtomFieldParams) -> BlochState:
     when N(N+1) exceeds the float range).
     """
     with np.errstate(all="ignore"):
-        sx, sy, sz = backends.steady_grid(
-            params.gamma, params.n_sq, params.eta,
-            params.phi, params.omega, params.delta,
-        )
+        sx, sy, sz = backends.steady_grid(**params.inputs())
     if not (math.isfinite(sx) and math.isfinite(sy) and math.isfinite(sz)):
         raise NumericalError(
             f"steady state is not finite at {params} "
@@ -112,14 +109,14 @@ def steady_state(params: AtomFieldParams) -> BlochState:
     return BlochState(float(sx), float(sy), float(sz))
 
 
-def steady_state_grid(gamma, n_sq, eta, phi, omega, delta):
+def steady_state_grid(n_sq, eta, phi, omega, delta):
     """Steady Bloch vectors over broadcastable parameter arrays.
 
     Returns three float64 arrays (sx, sy, sz) in the broadcast shape.
     Constant inputs stay scalars: nothing is expanded to the grid size.
     """
     return backends.steady_grid(
-        *(np.asarray(x, dtype=float) for x in (gamma, n_sq, eta, phi, omega, delta))
+        *(np.asarray(x, dtype=float) for x in (n_sq, eta, phi, omega, delta))
     )
 
 
@@ -158,7 +155,7 @@ def relax_to_steady(
 
     Integrates ds/dt = A s + b from s0 (ground state by default) until
     the state error bound ||A^-1||_inf * ||ds/dt||_inf drops below tol
-    (which also guarantees ||ds/dt||_inf < tol * gamma). For a linear
+    (which also guarantees ||ds/dt||_inf < tol). For a linear
     system the RK4 map's fixed point is the exact steady state, so the
     step size is chosen from the stability bound alone.
 
@@ -185,11 +182,10 @@ def relax_batch(params_seq, s0=None, tol: float = 1e-10) -> np.ndarray:
     system = system_grid(*np.array(
         [list(params.inputs().values()) for params in params_seq]).T)
     a, b = system.a_matrix, system.b_vector
-    gamma = -b[:, 2]
     a_norm = np.abs(a).sum(axis=-1).max(axis=-1)
-    h = 0.25 / (a_norm + gamma)
+    h = 0.25 / (a_norm + 1.0)
     ainv_norm = np.abs(np.linalg.inv(a)).sum(axis=-1).max(axis=-1)
-    stop_resid = tol * np.minimum(gamma, 1.0 / ainv_norm)
+    stop_resid = tol * np.minimum(1.0, 1.0 / ainv_norm)
 
     # time cap: 200 time constants of the slowest decaying mode, which can
     # be far slower than min(gamma_x, gamma_y, gamma_z) when the coherences

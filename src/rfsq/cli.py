@@ -99,14 +99,12 @@ def _parse_seed(text: str) -> int:
 
 #: the physical flags by destination: (flag, converter, default, help)
 _PARAM_FLAGS = {
-    "gamma": ("--gamma", float, 1.0,
-              "spontaneous decay rate (frequency unit, default 1)"),
     "n_sq": ("--n", float, 0.0, "squeezed photon number N"),
     "eta": ("--eta", float, 1.0, "squeezing ideality in [0, 1] (default 1)"),
     "phi": ("--phi", _flag_type(parse_angle), 0.0,
             "relative phase (radians or e.g. '0.5pi')"),
-    "omega": ("--omega", float, 0.0, "Rabi frequency in units of gamma"),
-    "delta": ("--delta", float, 0.0, "detuning in units of gamma"),
+    "omega": ("--omega", float, 0.0, "Rabi frequency over the decay rate gamma"),
+    "delta": ("--delta", float, 0.0, "detuning over the decay rate gamma"),
 }
 
 

@@ -7,7 +7,7 @@ The total normally-ordered variance of the theta-phase quadrature is
 normalised so that S_theta = -0.25 is maximal squeezing and S_theta = 0
 the shot-noise limit. Over theta the variance is pi-periodic and reaches
 its minimum S = 1 + <sz> - <sx>^2 - <sy>^2 = <sz>(1+<sz>) + 1 - Sigma at
-the optimal phase theta_o = atan2(gamma_x, delta + g M sinPhi), which for
+the optimal phase theta_o = atan2(gamma_x, delta + M sinPhi), which for
 a pure (fully polarised) atom coincides with its Bloch-sphere longitude
 modulo pi.
 """
@@ -100,24 +100,23 @@ def optimal_variance(state: BlochState) -> float:
 _atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
-def _longitude(gamma, n_sq, eta, phi, delta):
+def _longitude(n_sq, eta, phi, delta):
     """(alpha, M): the optimal quadrature phase before reduction, and M."""
-    m, _, gamma_x, _, _ = decay_rates(gamma, n_sq, eta, phi)
+    m, _, gamma_x, _, _ = decay_rates(n_sq, eta, phi)
     # gamma_x > 0 always, so alpha lands in (0, pi), at pi/2 for a zero
     # second argument
-    alpha = _atan2(gamma_x, delta + gamma * m * np.sin(phi))
+    alpha = _atan2(gamma_x, delta + m * np.sin(phi))
     return np.asarray(alpha, dtype=float), m
 
 
-def optimal_phase_grid(gamma, n_sq, eta, phi, delta):
+def optimal_phase_grid(n_sq, eta, phi, delta):
     """Optimal quadrature phase in [0, pi) over scalars or broadcastable arrays."""
-    return _longitude(gamma, n_sq, eta, phi, delta)[0] % math.pi
+    return _longitude(n_sq, eta, phi, delta)[0] % math.pi
 
 
 def optimal_phase_analytic(params: AtomFieldParams) -> float:
     """Optimal quadrature phase from the closed form, reduced into [0, pi)."""
-    return float(optimal_phase_grid(params.gamma, params.n_sq, params.eta,
-                                    params.phi, params.delta))
+    return float(optimal_phase_grid(params.n_sq, params.eta, params.phi, params.delta))
 
 
 def sphere_angles(params: AtomFieldParams) -> tuple[float, float]:
@@ -127,8 +126,7 @@ def sphere_angles(params: AtomFieldParams) -> tuple[float, float]:
     [0, pi); beta is the colatitude fixed by the reservoir, with the
     undriven N = 0 corner mapped to the south pole (beta = pi).
     """
-    alpha, m = _longitude(params.gamma, params.n_sq, params.eta, params.phi,
-                          params.delta)
+    alpha, m = _longitude(params.n_sq, params.eta, params.phi, params.delta)
     alpha, m, n = float(alpha), float(m), params.n_sq
     if m + n == 0.0:
         return alpha, math.pi
@@ -142,7 +140,7 @@ def pure_state_variance(n_sq, eta=1.0):
     <sz>(1 + <sz>) with <sz> = (N - M)/(N + M). Polymorphic over scalars
     and broadcastable arrays.
     """
-    m = decay_rates(1.0, n_sq, eta, 0.0)[0]
+    m = decay_rates(n_sq, eta, 0.0)[0]
     return (n_sq - m) / (n_sq + m + 0.5)
 
 
@@ -152,7 +150,7 @@ def input_vacuum_variance(n_sq, eta=1.0):
     (N - M) / 2 in the same normalisation, approaching -0.25 as N grows.
     Polymorphic over scalars and broadcastable arrays.
     """
-    m = decay_rates(1.0, n_sq, eta, 0.0)[0]
+    m = decay_rates(n_sq, eta, 0.0)[0]
     return (n_sq - m) / 2.0
 
 

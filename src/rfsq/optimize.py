@@ -5,8 +5,7 @@ state over the drive (omega, delta). At fixed delta its optimum over
 omega, that of any fixed quadrature's variance S_theta and that of the
 purity Sigma are closed forms (``drive_optima``), so a box minimum is
 one of a few closed-form candidates in delta; nothing here searches.
-The pure-state crossover is analytic. All routines work in gamma = 1
-units.
+The pure-state crossover is analytic.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def check_box_side(name: str, lo: float, hi: float, spelled=None) -> None:
 
 
 def drive_optima(n_sq, eta, phi, delta, theta=None):
-    """Closed-form optima over the drive strength at fixed delta (gamma = 1).
+    """Closed-form optima over the drive strength at fixed delta.
 
     With L = q + delta^2, u = delta + M sin Phi, R = u^2 + gamma_x^2 and
     D = gamma_z L + omega^2 gamma_x, the steady state has
@@ -75,8 +74,8 @@ def drive_optima(n_sq, eta, phi, delta, theta=None):
     order of delta, an exact scaling; w_min and w_pure overflow to inf
     past |delta| ~ 1e154.
     """
-    m, q, gx, _, gz = decay_rates(1.0, n_sq, eta, phi)
     with np.errstate(over="ignore", invalid="ignore"):
+        m, q, gx, _, gz = decay_rates(n_sq, eta, phi)
         u = delta + m * np.sin(phi)
         e = np.where(np.abs(delta) > 2.0**200, np.frexp(delta)[1], 0)
         delta, u, gx_r = (np.ldexp(x, -e) for x in (delta, u, gx))
@@ -131,21 +130,21 @@ def minimize_variance_batch(n_sq, phi, bounds, eta: float = 1.0):
     (w_lo, w_hi), (d_lo, d_hi) = bounds
     n_sq, phi = (x[:, None] for x in np.broadcast_arrays(
         np.asarray(n_sq, dtype=float), np.asarray(phi, dtype=float)))
-    m, q, gx, _, gz = decay_rates(1.0, n_sq, eta, phi)
-    a = m * np.sin(phi)
-    # the quadratic (times delta, so delta = 0 joins the candidates)
-    polys, scales = [[-a, q - a * a - gx * gx, q * a, 0.0 * a]], [1.0]
-    for omega in (w_lo, w_hi):
-        # the cubic in y = delta / s, divided by s^3: with s = 2^k > omega,
-        # an exact scaling, its coefficients stay finite at any omega
-        s = math.ldexp(1.0, max(math.frexp(omega)[1], 0))
-        t = 1.0 / s
-        load = gz * q * t * t + gx * (omega * t) ** 2
-        polys.append([gz * (gx - 1.0), -3.0 * a * gz * t,
-                      (gx + 1.0) * load - 2.0 * gz * (a * a + gx * gx) * t * t,
-                      a * load * t])
-        scales.append(s)
     with np.errstate(all="ignore"):
+        m, q, gx, _, gz = decay_rates(n_sq, eta, phi)
+        a = m * np.sin(phi)
+        # the quadratic (times delta, so delta = 0 joins the candidates)
+        polys, scales = [[-a, q - a * a - gx * gx, q * a, 0.0 * a]], [1.0]
+        for omega in (w_lo, w_hi):
+            # the cubic in y = delta / s, divided by s^3: with s = 2^k > omega,
+            # an exact scaling, its coefficients stay finite at any omega
+            s = math.ldexp(1.0, max(math.frexp(omega)[1], 0))
+            t = 1.0 / s
+            load = gz * q * t * t + gx * (omega * t) ** 2
+            polys.append([gz * (gx - 1.0), -3.0 * a * gz * t,
+                          (gx + 1.0) * load - 2.0 * gz * (a * a + gx * gx) * t * t,
+                          a * load * t])
+            scales.append(s)
         roots = _real_roots(np.stack([np.concatenate(p, axis=1) for p in polys], 1))
         deltas = np.clip(np.concatenate(
             [np.full((len(n_sq), 2), (d_lo, d_hi)),
@@ -154,8 +153,7 @@ def minimize_variance_batch(n_sq, phi, bounds, eta: float = 1.0):
         # fmax maps an overflowed (NaN) optimum to omega = w_lo
         omegas = np.clip(np.sqrt(np.fmax(drive_optima(n_sq, eta, phi, deltas)[0], 0.0)),
                          w_lo, w_hi)
-        values = BlochState(*steady_state_grid(1.0, n_sq, eta, phi, omegas,
-                                               deltas)).s_opt
+        values = BlochState(*steady_state_grid(n_sq, eta, phi, omegas, deltas)).s_opt
     # a candidate whose state overflowed (NaN) ranks below every finite one
     values = np.where(np.isnan(values), np.inf, values)
     i = np.argmin(values, axis=1)[:, None]
@@ -245,7 +243,7 @@ def certify_n_eighth(
     best = (np.arange(len(grid)) * len(phases)
             + np.argmin(value.reshape(len(grid), -1), axis=1))
     minima = value[best].tolist()
-    sigmas = BlochState(*steady_state_grid(1.0, n_sq[best], 1.0, phi[best],
+    sigmas = BlochState(*steady_state_grid(n_sq[best], 1.0, phi[best],
                                            omega[best], delta[best])).sigma.tolist()
 
     k_min = int(np.argmin(minima))

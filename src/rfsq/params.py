@@ -1,7 +1,8 @@
 """Physical parameters and the decay rates they set.
 
-All rates and frequencies are expressed in units of the spontaneous decay
-rate gamma, which defaults to 1. The squeezed reservoir is broadband and
+All rates and frequencies are plain numbers in units of the spontaneous
+decay rate gamma: the results depend only on omega/gamma and delta/gamma,
+so gamma itself is not an input. The squeezed reservoir is broadband and
 characterised by its photon number N, the two-photon correlation strength
 M = eta * sqrt(N(N+1)) with ideality eta in [0, 1], and the relative phase
 Phi between the driving laser and the squeezed vacuum: with laser phase
@@ -34,7 +35,6 @@ class AtomFieldParams:
 
     Attributes
     ----------
-    gamma : spontaneous decay rate, the global frequency unit (> 0)
     n_sq : squeezed photon number N (>= 0)
     eta : squeezing-correlation ideality (0 <= eta <= 1; 1 is ideal)
     phi : relative phase Phi = 2 phi_L - phi_S, radians
@@ -42,7 +42,6 @@ class AtomFieldParams:
     delta : detuning of the atom from the laser, in units of gamma
     """
 
-    gamma: float = 1.0
     n_sq: float = 0.0
     eta: float = 1.0
     phi: float = 0.0
@@ -50,10 +49,8 @@ class AtomFieldParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma", "n_sq", "eta", "phi", "omega", "delta"):
+        for name in ("n_sq", "eta", "phi", "omega", "delta"):
             _require_finite(name, getattr(self, name))
-        if self.gamma <= 0.0:
-            raise ValidationError(f"gamma must be positive, got {self.gamma}")
         if self.n_sq < 0.0:
             raise ValidationError(f"n_sq must be non-negative, got {self.n_sq}")
         if not 0.0 <= self.eta <= 1.0:
@@ -62,14 +59,14 @@ class AtomFieldParams:
             raise ValidationError(f"omega must be non-negative, got {self.omega}")
 
     def inputs(self) -> dict:
-        """The six physical inputs by name."""
+        """The five physical inputs by name."""
         return {
-            "gamma": self.gamma, "n_sq": self.n_sq, "eta": self.eta,
-            "phi": self.phi, "omega": self.omega, "delta": self.delta,
+            "n_sq": self.n_sq, "eta": self.eta, "phi": self.phi,
+            "omega": self.omega, "delta": self.delta,
         }
 
 
-def decay_rates(gamma, n_sq, eta, phi):
+def decay_rates(n_sq, eta, phi):
     """M, q = (N + 1/2)^2 - M^2 and the rates (gamma_x, gamma_y, gamma_z).
 
     gamma_x and gamma_y are the decay rates of the in-phase and
@@ -79,8 +76,8 @@ def decay_rates(gamma, n_sq, eta, phi):
     Polymorphic over scalars and broadcastable arrays. Every quantity is a
     sum of non-negative terms, so nothing cancels: q = (1 - eta^2) N(N+1)
     + 1/4, N + 1/2 - M = q / (N + 1/2 + M), and with cos Phi = 2 cos^2(Phi/2)
-    - 1 the quadrature rates are gamma (N + 1/2 - M + 2 M cos^2(Phi/2)) and
-    gamma (N + 1/2 - M + 2 M sin^2(Phi/2)).
+    - 1 the quadrature rates are N + 1/2 - M + 2 M cos^2(Phi/2) and
+    N + 1/2 - M + 2 M sin^2(Phi/2).
     """
     n_n1 = n_sq * (n_sq + 1.0)
     m = eta * np.sqrt(n_n1)
@@ -88,7 +85,7 @@ def decay_rates(gamma, n_sq, eta, phi):
     low = q / (n_sq + 0.5 + m)
     cos_half = np.cos(0.5 * phi)
     sin_half = np.sin(0.5 * phi)
-    gamma_x = gamma * (low + 2.0 * m * (cos_half * cos_half))
-    gamma_y = gamma * (low + 2.0 * m * (sin_half * sin_half))
-    gamma_z = 2.0 * gamma * (n_sq + 0.5)
+    gamma_x = low + 2.0 * m * (cos_half * cos_half)
+    gamma_y = low + 2.0 * m * (sin_half * sin_half)
+    gamma_z = 2.0 * (n_sq + 0.5)
     return m, q, gamma_x, gamma_y, gamma_z

@@ -1,6 +1,6 @@
 """Drive settings that relax the atom into a pure steady state.
 
-For an ideal reservoir (eta = 1, gamma = 1) and any squeezing phase Phi
+For an ideal reservoir (eta = 1) and any squeezing phase Phi
 that is not pi (mod 2 pi), one drive makes the damped, driven atom fully
 polarised (Sigma = 1):
 
@@ -67,13 +67,24 @@ def _require_photons(n_sq: float):
         raise ValidationError(f"n_sq must be positive, got {n_sq}")
 
 
-def _solution(params, alpha, beta, exact, theta_0=None) -> PureStateSolution:
-    """A working point with its sphere angles and the purity it reaches."""
+def _solution(exact: bool, **inputs) -> PureStateSolution:
+    """A computed drive with its sphere angles and the purity it reaches.
+
+    The exact state's alpha is also theta_0; the asymptotic one has alpha = 0.
+    Raises NumericalError where the drive overflows.
+    """
+    if not (math.isfinite(inputs["omega"]) and math.isfinite(inputs["delta"])):
+        raise NumericalError(
+            f"the pure-state drive overflows at n_sq = {inputs['n_sq']!r} "
+            f"(omega = {inputs['omega']!r}, delta = {inputs['delta']!r})")
+    params = AtomFieldParams(**inputs)
+    alpha, beta = sphere_angles(params)
+    alpha = alpha if exact else 0.0
     return PureStateSolution(
         phi=params.phi, n_sq=params.n_sq, delta=params.delta,
         omega=params.omega, alpha=alpha, beta=beta,
         sigma_achieved=steady_state(params).sigma, exact=exact,
-        theta_0=theta_0,
+        theta_0=alpha if exact else None,
     )
 
 
@@ -86,10 +97,10 @@ def pure_state(n_sq: float, phi: float, eta: float = 1.0) -> PureStateSolution:
     """The drive that makes the steady state pure, at any Phi != pi (mod 2 pi).
 
     delta = tan(Phi/2) / (4 (N + 1/2 + M)) and omega = sqrt(M) /
-    (|cos(Phi/2)| (sqrt(N+1) + sqrt(N))), for gamma = 1. alpha and beta
-    come from ``metrics.sphere_angles``, and theta_0 = alpha. Raises
-    ValidationError for eta != 1, where no drive is pure, and at
-    Phi = pi, where the drive diverges (see ``condition_phi_pi``).
+    (|cos(Phi/2)| (sqrt(N+1) + sqrt(N))). alpha and beta come from
+    ``metrics.sphere_angles``, and theta_0 = alpha. Raises ValidationError
+    for eta != 1, where no drive is pure, and at Phi = pi, where the drive
+    diverges (see ``condition_phi_pi``); NumericalError where it overflows.
     """
     _require_photons(n_sq)
     if eta != 1.0:
@@ -104,31 +115,32 @@ def pure_state(n_sq: float, phi: float, eta: float = 1.0) -> PureStateSolution:
         )
     m = math.sqrt(n_sq * (n_sq + 1.0))  # M at eta = 1; inf, not a warning, on overflow
     half = 0.5 * phi
-    params = AtomFieldParams(
-        n_sq=n_sq, phi=phi,
+    return _solution(
+        True, n_sq=n_sq, eta=eta, phi=phi,
         omega=math.sqrt(m) / (abs(math.cos(half))
                               * (math.sqrt(n_sq + 1.0) + math.sqrt(n_sq))),
         delta=math.tan(half) / (4.0 * (n_sq + 0.5 + m)),
     )
-    alpha, beta = sphere_angles(params)
-    return _solution(params, alpha, beta, exact=True, theta_0=alpha)
 
 
 def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0,
                      phi: float = math.pi) -> PureStateSolution:
     """Asymptotic pure state at Phi = pi for large detuning.
 
-    omega = 2 delta sqrt(M)/(sqrt(N+1) - sqrt(N)); purity improves as
-    delta grows past Gamma - gM. Warns when delta is below ten times
-    that margin. alpha = 0 is the asymptotic longitude. ``phi`` may be
-    any phase equal to pi modulo 2 pi; the solution reports it.
+    omega = 2 delta sqrt(M) (sqrt(N+1) + sqrt(N)), which is 2 delta sqrt(M)
+    / (sqrt(N+1) - sqrt(N)) without the cancelling difference; purity
+    improves as delta grows past Gamma - gM. Warns when delta is below ten
+    times that margin, and raises NumericalError where the drive overflows.
+    alpha = 0 is the asymptotic longitude. ``phi`` may be any phase equal
+    to pi modulo 2 pi; the solution reports it.
     """
     _require_photons(n_sq)
     if delta <= 0.0:
         raise ValidationError(f"delta must be positive, got {delta}")
     if not is_opposed_phase(phi):
         raise ValidationError(f"phi must equal pi modulo 2 pi, got {phi}")
-    m, q, *_ = decay_rates(1.0, n_sq, eta, 0.0)
+    with np.errstate(all="ignore"):  # an overflowed M is caught with the drive
+        m, q, *_ = decay_rates(n_sq, eta, 0.0)
     margin = q / (n_sq + 0.5 + m)  # Gamma - gM without cancellation
     if delta < 10.0 * margin:
         warnings.warn(
@@ -137,21 +149,19 @@ def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0,
             AsymptoticConditionWarning,
             stacklevel=2,
         )
-    omega = 2.0 * delta * math.sqrt(m) / (math.sqrt(n_sq + 1.0) - math.sqrt(n_sq))
-    params = AtomFieldParams(n_sq=n_sq, eta=eta, phi=phi, omega=omega,
-                             delta=delta)
-    return _solution(params, 0.0, sphere_angles(params)[1], exact=False)
+    omega = 2.0 * delta * math.sqrt(m) * (math.sqrt(n_sq + 1.0) + math.sqrt(n_sq))
+    return _solution(False, n_sq=n_sq, eta=eta, phi=phi, omega=omega, delta=delta)
 
 
 def sz_plus_half_grid(n_sq, phi, omega, delta):
-    """Closed form for <sz> + 1/2 at gamma = eta = 1, over scalars or arrays.
+    """Closed form for <sz> + 1/2 at eta = 1, over scalars or arrays.
 
     [(N + 1/2 + M cosPhi) omega^2 + (2N - 1)(delta^2 + 1/4)] /
     [2 ((N + 1/2 + M cosPhi) omega^2 + (delta^2 + 1/4)(2N + 1))]
 
     Vanishing at the maximal-squeezing drive, where <sz> = -1/2.
     """
-    gamma_x = decay_rates(1.0, n_sq, 1.0, phi)[2]
+    gamma_x = decay_rates(n_sq, 1.0, phi)[2]
     drive = gamma_x * omega**2  # N + 1/2 + M cosPhi = gamma_x
     lorentz = delta**2 + 0.25
     num = drive + (2.0 * n_sq - 1.0) * lorentz
@@ -181,8 +191,7 @@ def find_pure_curve(
     omega = math.sqrt(w_pure) if w_pure > 0.0 else 0.0  # also when NaN
     if omega < math.inf:
         with np.errstate(all="ignore"):
-            sigma = BlochState(*steady_state_grid(1.0, n_sq, eta, phi, omega,
-                                                  delta)).sigma
+            sigma = BlochState(*steady_state_grid(n_sq, eta, phi, omega, delta)).sigma
     sigma = float(sigma)
     if sigma < 1.0 - 1e-4:
         raise NoPureStateError(

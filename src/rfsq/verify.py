@@ -3,7 +3,7 @@
 Each check returns (ok, detail) and is deterministic for a given seed.
 The randomised sweeps draw from the broad desk-scale parameter domain
 (N in [0, 2], Phi in [0, 2 pi), Omega in [0, 30], Delta in [-30, 30],
-gamma = 1, ideal reservoir). ``fast`` shrinks the sweep sizes for a
+ideal reservoir). ``fast`` shrinks the sweep sizes for a
 quick smoke run. The sweeps are batched: a check draws all its points
 with one generator call and evaluates them with array calls of the
 shipped functions (the relaxations with one ``relax_batch``, the
@@ -187,7 +187,7 @@ def check_relaxation_oracle(seed=42, fast=False):
     rng = np.random.default_rng(seed)
     draws = _draws(rng, 100 if fast else 1000)
     relaxed = relax_batch([_params(*point) for point in draws.T], tol=1e-9)
-    direct = np.stack(steady_state_grid(1.0, draws[0], 1.0, *draws[1:]), axis=-1)
+    direct = np.stack(steady_state_grid(draws[0], 1.0, *draws[1:]), axis=-1)
     worst_state = np.abs(direct - relaxed).max()
     worst_sz = np.abs(sz_plus_half_grid(*draws) - (direct[:, 2] + 0.5)).max()
     ok = bool(worst_state < 1e-7 and worst_sz <= 1e-10)
@@ -203,7 +203,7 @@ def check_phase_optimality(seed=42, fast=False):
     draws = _draws(rng, 50 if fast else 500)
     thetas = np.linspace(0.0, math.pi, 721)[:-1]
     step = thetas[1] - thetas[0]
-    sx, sy, sz = steady_state_grid(1.0, draws[0], 1.0, *draws[1:])
+    sx, sy, sz = steady_state_grid(draws[0], 1.0, *draws[1:])
     # coherence amplitude below 1e-5: no measurable optimal phase
     live = ~(sx**2 + sy**2 < 1e-10)
     skipped = int((~live).sum())
@@ -231,7 +231,7 @@ def check_phase_optimality(seed=42, fast=False):
     with np.errstate(divide="ignore", invalid="ignore"):
         vertex = thetas[k] + 0.5 * step * (s_minus - s_plus) / curvature
     theta_ref = np.where(curvature > 0.0, vertex, thetas[k])
-    analytic = optimal_phase_grid(1.0, draws[0], 1.0, draws[1], draws[3])
+    analytic = optimal_phase_grid(draws[0], 1.0, draws[1], draws[3])
     gap = abs(theta_ref % math.pi - analytic) % math.pi
     worst_phase = np.max(np.minimum(gap, math.pi - gap), initial=0.0)
     ok = bool(worst_phase <= 1e-6 and worst_floor <= 1e-12)
@@ -262,12 +262,12 @@ def check_rates_and_bounds(seed=42, fast=False):
     """Rate identities, purity bound and variance floor over a random sweep."""
     rng = np.random.default_rng(seed + 2)
     draws = _draws(rng, 200 if fast else 1000)
-    _, _, gamma_x, gamma_y, gamma_z = decay_rates(1.0, draws[0], 1.0, draws[1])
+    _, _, gamma_x, gamma_y, gamma_z = decay_rates(draws[0], 1.0, draws[1])
     bad = np.flatnonzero((gamma_x <= 0.0) | (gamma_y <= 0.0))
     if bad.size:
         return False, f"non-positive quadrature rate at {_params(*draws[:, bad[0]])}"
     worst_sum = np.max(np.abs(gamma_x + gamma_y - gamma_z) / gamma_z)
-    state = BlochState(*steady_state_grid(1.0, draws[0], 1.0, *draws[1:]))
+    state = BlochState(*steady_state_grid(draws[0], 1.0, *draws[1:]))
     worst_sigma = np.max(state.sigma - 1.0, initial=0.0)
     worst_floor = np.max(-0.25 - optimal_variance(state), initial=0.0)
     ns = np.linspace(1e-4, 10.0, 100)
@@ -284,7 +284,7 @@ def check_stability_certificate(seed=42, fast=False):
     """The Bloch matrix is Hurwitz across the sweep (positive certificate margins)."""
     rng = np.random.default_rng(seed + 3)
     draws = _draws(rng, 200 if fast else 1000)
-    system = system_grid(1.0, draws[0], 1.0, *draws[1:])
+    system = system_grid(draws[0], 1.0, *draws[1:])
     # the eigenvalues of every tenth matrix, as an independent check
     tenth = BlochSystem(system.a_matrix[::10], system.b_vector[::10])
     unstable = np.flatnonzero(spectral_abscissa(tenth) >= 0.0)

@@ -1,6 +1,6 @@
 """Special-case pure-state drives, kept as oracles for ``pure.pure_state``.
 
-Each returns (delta, omega, alpha) for gamma = eta = 1: the resonant
+Each returns (delta, omega, alpha) for eta = 1: the resonant
 drive at Phi = 0, the drive at Phi = pi/2 with delta = Gamma - gM, and
 the N = 1/8 family at any Phi that is not pi (mod 2 pi), whose alpha is
 also its squeezed quadrature phase theta_0.

@@ -50,7 +50,7 @@ def scalar_search(n_sq, phi, bounds, eta=1.0, coarse=64):
         w_min = drive_optima(n_sq, eta, phi, delta)[0]
         omega = np.clip(np.sqrt(np.fmax(w_min, 0.0)), w_lo, w_hi)
         with np.errstate(all="ignore"):
-            sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
+            sx, sy, sz = steady_state_grid(n_sq, eta, phi, omega, delta)
         value = 1.0 + sz - sx * sx - sy * sy
         # a node whose state overflowed (NaN) is the worst of all
         return omega, np.where(np.isnan(value), np.inf, value)
@@ -81,7 +81,7 @@ def grid_minimum(n_sq, phi, bounds, eta=1.0, nodes=400):
                     for lo, hi in bounds)
     n_sq, phi = (np.asarray(x, dtype=float)[:, None, None] for x in (n_sq, phi))
     with np.errstate(all="ignore"):
-        sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega[:, None],
+        sx, sy, sz = steady_state_grid(n_sq, eta, phi, omega[:, None],
                                        delta[None, :])
         value = 1.0 + sz - sx * sx - sy * sy
     return np.where(np.isnan(value), np.inf, value).min(axis=(1, 2))

@@ -68,10 +68,10 @@ def test_relax_stops_each_point_on_its_own():
 
 
 def test_closed_form_is_polymorphic():
-    scalar = steady_grid(1.0, 0.125, 1.0, 0.0, math.sqrt(3.0) / 4.0, 0.0)
+    scalar = steady_grid(0.125, 1.0, 0.0, math.sqrt(3.0) / 4.0, 0.0)
     assert scalar[1] == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-14)
     arr = steady_grid(
-        1.0, np.full(4, 0.125), 1.0, 0.0, np.full(4, math.sqrt(3.0) / 4.0), 0.0)
+        np.full(4, 0.125), 1.0, 0.0, np.full(4, math.sqrt(3.0) / 4.0), 0.0)
     assert np.allclose(arr[1], math.sqrt(3.0) / 2.0, atol=1e-14)
 
 
@@ -79,11 +79,11 @@ def test_closed_form_is_polymorphic():
 def test_overflow_gives_the_limit_or_nan():
     with np.errstate(all="ignore"):
         # L = q + delta^2 overflows at omega = 0: the undriven state, exactly
-        undriven = steady_grid(1.0, 0.2, 1.0, math.pi, 0.0, 1e200)
+        undriven = steady_grid(0.2, 1.0, math.pi, 0.0, 1e200)
         # omega^2 overflows alone: the strong-drive limit (0, 0, 0)
-        saturated = steady_grid(1.0, 0.2, 1.0, math.pi, 1e200, 0.0)
+        saturated = steady_grid(0.2, 1.0, math.pi, 1e200, 0.0)
         # both overflow: no limit, so NaN (it was a finite sz = -0.714)
-        lost = steady_grid(1.0, 0.2, 1.0, math.pi, 2e200, 1e200)
+        lost = steady_grid(0.2, 1.0, math.pi, 2e200, 1e200)
     assert undriven[:2] == (0.0, 0.0)
     assert undriven[2] == -1.0 / (2.0 * 0.2 + 1.0)
     assert [abs(x) for x in saturated] == [0.0, 0.0, 0.0]
@@ -92,19 +92,18 @@ def test_overflow_gives_the_limit_or_nan():
 
 def _mpmath_steady(params, mp):
     """Bloch steady state at 50 digits, with the rates written out directly."""
-    gamma, n, eta, phi, omega, delta = (mp.mpf(float(x)) for x in (
-        params.gamma, params.n_sq, params.eta, params.phi, params.omega,
-        params.delta))
+    n, eta, phi, omega, delta = (mp.mpf(float(x)) for x in (
+        params.n_sq, params.eta, params.phi, params.omega, params.delta))
     half = mp.mpf(1) / 2
     m = eta * mp.sqrt(n * (n + 1))
-    gm_cos = gamma * m * mp.cos(phi)
-    gm_sin = gamma * m * mp.sin(phi)
+    m_cos = m * mp.cos(phi)
+    m_sin = m * mp.sin(phi)
     a = mp.matrix([
-        [-(gamma * (n + half) + gm_cos), -(delta + gm_sin), 0],
-        [delta - gm_sin, -(gamma * (n + half) - gm_cos), -omega],
-        [0, omega, -2 * gamma * (n + half)],
+        [-(n + half + m_cos), -(delta + m_sin), 0],
+        [delta - m_sin, -(n + half - m_cos), -omega],
+        [0, omega, -2 * (n + half)],
     ])
-    s = mp.lu_solve(a, mp.matrix([0, 0, gamma]))
+    s = mp.lu_solve(a, mp.matrix([0, 0, 1]))
     return np.array([float(s[i]) for i in range(3)])
 
 

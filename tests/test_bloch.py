@@ -100,7 +100,6 @@ class TestSteadyState:
 
     def test_singular_matrix_is_reported(self):
         unsolvable = [
-            AtomFieldParams(gamma=1e-300),  # det(A) underflows to zero
             AtomFieldParams(n_sq=1e200, omega=1.0),  # N (N + 1) overflows
         ]
         for params in unsolvable:
@@ -120,7 +119,7 @@ class TestGrid:
         phi = rng.uniform(0.0, 2.0 * math.pi, 200)
         omega = rng.uniform(0.0, 30.0, 200)
         delta = rng.uniform(-30.0, 30.0, 200)
-        sx, sy, sz = steady_state_grid(1.0, n, 1.0, phi, omega, delta)
+        sx, sy, sz = steady_state_grid(n, 1.0, phi, omega, delta)
         for k in range(200):
             oracle = solve_steady(AtomFieldParams(
                 n_sq=n[k], phi=phi[k], omega=omega[k], delta=delta[k]))
@@ -131,7 +130,7 @@ class TestGrid:
     def test_grid_broadcasts(self):
         omega = np.linspace(0.0, 3.0, 7)[:, None]
         delta = np.linspace(0.0, 1.0, 5)[None, :]
-        sx, sy, sz = steady_state_grid(1.0, 0.125, 1.0, 0.5, omega, delta)
+        sx, sy, sz = steady_state_grid(0.125, 1.0, 0.5, omega, delta)
         assert sx.shape == (7, 5)
 
 
@@ -218,9 +217,9 @@ def _serial_relax(params, tol):
     system = system_of(params)
     a, b = system.a_matrix, system.b_vector
     a_norm = np.abs(a).sum(axis=1).max()
-    h = 0.25 / (a_norm + params.gamma)
+    h = 0.25 / (a_norm + 1.0)
     ainv_norm = np.abs(np.linalg.inv(a)).sum(axis=1).max()
-    stop_resid = tol * min(params.gamma, 1.0 / ainv_norm)
+    stop_resid = tol * min(1.0, 1.0 / ainv_norm)
     rho_slow = min(-np.linalg.eigvals(a).real.max(), *(-np.diag(a)))
     max_steps = int(math.ceil(200.0 / rho_slow / h))
     eb, cb = rk4_affine_map(a, b, h)

@@ -206,11 +206,22 @@ def test_pure_closed_form_at_any_phase(capsys):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("phi", ["0", "0.5pi", "0.3pi"])
 def test_pure_at_an_overflowing_photon_number_fails_cleanly(capsys, phi):
-    # N (N + 1) overflows: one error line, no numpy warning before it
+    # N (N + 1) overflows and the drive with it: one numerical error line,
+    # no numpy warning before it, and no blame on an input never given
     code, out, err = run(capsys, "pure", "--n", "1e200", "--phi", phi)
-    assert code == 1
+    assert code == 2
     assert out == ""
-    assert err == "error: Validation: omega must be finite, got inf\n"
+    assert err == ("error: Numerical: the pure-state drive overflows at "
+                   "n_sq = 1e+200 (omega = inf, delta = 0.0)\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_opposed_phase_drive_at_a_large_photon_number(capsys):
+    # sqrt(N + 1) - sqrt(N) rounds to zero here, so the drive must not divide by it
+    code, out, err = run(capsys, "pure", "--n", "1e16", "--phi", "pi",
+                         "--delta", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["omega"] == pytest.approx(4e16, rel=1e-15)
 
 
 @pytest.mark.parametrize("phi", ["0", "0.5pi", "0.3pi"])
@@ -252,6 +263,9 @@ def test_pure_reduces_the_phase_modulo_two_pi(capsys, phi, expected, extra):
     ("pure", "--n", "0.2", "--phi", "pi", "--delta", "1e300"),
     ("pure", "--n", "0.2", "--phi", "2", "--delta", "1e100", "--solve-omega"),
     ("optimize", "--n", "0.2", "--box", "omega:1e200:1e201,delta:1e200:1e201"),
+    # N (N + 1) overflows: the drive, and the rates of every box candidate
+    ("pure", "--n", "1e300", "--phi", "pi", "--delta", "1"),
+    ("optimize", "--n", "1e200", "--phi", "1", "--box", "omega:0:3,delta:0:2"),
 ])
 def test_overflowing_state_fails_cleanly(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -314,8 +328,8 @@ def test_crossover_command(capsys):
 
 
 def test_validation_exit_codes(capsys):
-    code, _, err = run(capsys, "steady", "--gamma", "0")
-    assert code == 1 and err.startswith("error: Validation:")
+    code, _, err = run(capsys, "steady", "--eta", "2")
+    assert code == 1 and err == "error: Validation: eta must lie in [0, 1], got 2.0\n"
     code, _, err = run(capsys, "steady", "--phi", "halfpi")
     assert code == 1
     code, _, err = run(capsys, "scan", "--metric", "s_q",
@@ -408,6 +422,11 @@ def test_seed_must_be_a_non_negative_integer(capsys, seed):
     (("optimize", "--n", "0.125", "--box", "omega:0:3,delta:0:2",
       "--delta", "1", "--gamma", "2"), "--delta 1 --gamma 2"),
     (("pure", "--n", "0.125", "--phi", "0.5pi", "--omega", "1"), "--omega 1"),
+    # gamma is the frequency unit, not an input
+    (("steady", "--n", "0.1", "--gamma", "2"), "--gamma 2"),
+    (("report", "--n", "0.1", "--gamma", "2"), "--gamma 2"),
+    (("scan", "--metric", "s_x", "--axis1", "omega:0:1:4", "--gamma", "2"),
+     "--gamma 2"),
 ])
 def test_flags_a_command_does_not_read_are_rejected(capsys, tmp_path,
                                                     monkeypatch, argv, ignored):

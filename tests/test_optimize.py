@@ -122,7 +122,7 @@ class TestMinimizeVariance:
 
 def _variance(n_sq, eta, phi, omega, delta, theta=None):
     """S_opt, or S_theta when theta is given, from the kernel."""
-    sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi, omega, delta)
+    sx, sy, sz = steady_state_grid(n_sq, eta, phi, omega, delta)
     if theta is None:
         return 1.0 + sz - sx * sx - sy * sy
     coherence = sx * np.cos(theta) - sy * np.sin(theta)
@@ -231,7 +231,7 @@ def test_closed_form_optima_match_the_kernel():
     assert np.abs(s_at - s_min)[inner].max() <= 1e-14
     inner = w_pure > 0.0
     assert inner.sum() > 100
-    sx, sy, sz = steady_state_grid(1.0, n_sq, eta, phi,
+    sx, sy, sz = steady_state_grid(n_sq, eta, phi,
                                    np.sqrt(np.maximum(w_pure, 0.0)), delta)
     assert np.abs(sx * sx + sy * sy + sz * sz - sigma_max)[inner].max() <= 1e-14
     # a fixed quadrature: its own w_min and s_min, the same w_pure and sigma_max

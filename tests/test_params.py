@@ -13,7 +13,7 @@ from rfsq.errors import ValidationError
 def test_rates_at_the_special_photon_number():
     # N = 1/8 makes the correlation strength rational and the quadrature
     # rates twice / one quarter of the bare decay rate
-    m, _, gamma_x, gamma_y, gamma_z = decay_rates(1.0, 0.125, 1.0, 0.0)
+    m, _, gamma_x, gamma_y, gamma_z = decay_rates(0.125, 1.0, 0.0)
     assert m == pytest.approx(0.375, abs=1e-15)
     assert gamma_z / 2.0 == pytest.approx(0.625, abs=1e-15)
     assert gamma_x == pytest.approx(1.0, abs=1e-15)
@@ -23,7 +23,7 @@ def test_rates_at_the_special_photon_number():
 
 def test_rates_in_ordinary_vacuum():
     for phi in (0.0, 1.0, math.pi):
-        m, _, gamma_x, gamma_y, gamma_z = decay_rates(1.0, 0.0, 1.0, phi)
+        m, _, gamma_x, gamma_y, gamma_z = decay_rates(0.0, 1.0, phi)
         assert m == 0.0
         assert gamma_x == 0.5
         assert gamma_y == 0.5
@@ -32,7 +32,7 @@ def test_rates_in_ordinary_vacuum():
 
 def test_rates_at_opposed_phase():
     # direct evaluation at N = 0.1, phi = pi; cross-checked by the sum rule
-    m_corr, _, gamma_x, gamma_y, _ = decay_rates(1.0, 0.1, 1.0, math.pi)
+    m_corr, _, gamma_x, gamma_y, _ = decay_rates(0.1, 1.0, math.pi)
     m = math.sqrt(0.11)
     assert m_corr == pytest.approx(m, abs=1e-15)
     assert gamma_x == pytest.approx(0.6 - m, abs=1e-15)
@@ -41,7 +41,7 @@ def test_rates_at_opposed_phase():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(gamma=0.0), dict(gamma=-1.0), dict(gamma=float("nan")),
+    dict(eta=float("nan")), dict(omega=float("inf")), dict(delta=float("inf")),
     dict(n_sq=-0.1), dict(n_sq=float("inf")),
     dict(eta=-0.01), dict(eta=1.01),
     dict(omega=-1.0), dict(delta=float("nan")), dict(phi=float("inf")),
@@ -56,7 +56,7 @@ def test_invalid_inputs_are_rejected(bad):
 def test_correlation_bounds_and_monotonicity():
     ns = np.linspace(1e-6, 10.0, 500)
     ms = np.sqrt(ns * (ns + 1.0))
-    got = np.array([decay_rates(1.0, float(n), 1.0, 0.0)[0] for n in ns])
+    got = np.array([decay_rates(float(n), 1.0, 0.0)[0] for n in ns])
     assert np.allclose(got, ms, rtol=1e-15)
     # strictly increasing in N, always above N, always below N + 1/2
     assert (np.diff(got) > 0.0).all()
@@ -73,7 +73,7 @@ def test_rate_identities_over_random_parameters():
             phi=rng.uniform(0.0, 2.0 * math.pi),
         )
         _, _, gamma_x, gamma_y, gamma_z = decay_rates(
-            params.gamma, params.n_sq, params.eta, params.phi)
+            params.n_sq, params.eta, params.phi)
         assert gamma_x > 0.0
         assert gamma_y > 0.0
         assert gamma_x + gamma_y == pytest.approx(gamma_z, rel=1e-14)

@@ -135,6 +135,20 @@ class TestConditionOpposedPhase:
         sol = condition_phi_pi(0.1, 10.0)
         assert sol.omega == pytest.approx(15.72253128275022, rel=1e-12)
 
+    # at eta < 1, delta = 1 sits below the asymptotic margin
+    @pytest.mark.filterwarnings("ignore::rfsq.errors.AsymptoticConditionWarning")
+    @pytest.mark.parametrize("n_sq", [1e3, 1e6, 1e12, 1e100])
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_drive_is_accurate_at_large_photon_number(self, n_sq, eta):
+        # divided by sqrt(N + 1) - sqrt(N), the drive would miss by 1.1e-13
+        # relative at N = 1e3 and 7.6e-6 at N = 1e12
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(250):  # resolves sqrt(N + 1) - sqrt(N) at N = 1e100
+            n = mpmath.mpf(n_sq)
+            m = mpmath.mpf(eta) * mpmath.sqrt(n * (n + 1))
+            omega = float(2 * mpmath.sqrt(m) / (mpmath.sqrt(n + 1) - mpmath.sqrt(n)))
+        assert abs(condition_phi_pi(n_sq, 1.0, eta=eta).omega - omega) <= 4e-16 * omega
+
     def test_purity_is_asymptotic_in_detuning(self):
         sigmas = [condition_phi_pi(0.125, d).sigma_achieved
                   for d in (12.5, 100.0, 1000.0)]

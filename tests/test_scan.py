@@ -126,8 +126,8 @@ def test_failed_nodes_become_error_rows(monkeypatch):
 
     real = backends.steady_grid
 
-    def poisoned(gamma, n_sq, eta, phi, omega, delta):
-        sx, sy, sz = real(gamma, n_sq, eta, phi, omega, delta)
+    def poisoned(n_sq, eta, phi, omega, delta):
+        sx, sy, sz = real(n_sq, eta, phi, omega, delta)
         sz = sz.copy()
         sz[3] = np.nan
         return sx, sy, sz

@@ -130,7 +130,7 @@ def loop_certify_n_eighth(tolerance, phases, search=one_problem):
             if best is None or value < best[2]:
                 best = (omega, delta, value, phi)
         minima.append(best[2])
-        sx, sy, sz = steady_state_grid(1.0, n, 1.0, best[3], best[0], best[1])
+        sx, sy, sz = steady_state_grid(n, 1.0, best[3], best[0], best[1])
         sigmas.append(float(sx * sx + sy * sy + sz * sz))
     k_min = int(np.argmin(minima))
     offenders = []
@@ -179,7 +179,7 @@ def loop_rates_and_bounds(seed=42, fast=False):
     for _ in range(count):
         params = draw_params(rng)
         _, _, gamma_x, gamma_y, gamma_z = decay_rates(
-            params.gamma, params.n_sq, params.eta, params.phi)
+            params.n_sq, params.eta, params.phi)
         if gamma_x <= 0.0 or gamma_y <= 0.0:
             return False, f"non-positive quadrature rate at {params}"
         worst_sum = max(worst_sum, abs(gamma_x + gamma_y - gamma_z) / gamma_z)
@@ -242,7 +242,7 @@ def test_fast_sweeps_match_their_loops_on_forty_seeds(name):
 def test_array_forms_match_the_scalar_functions():
     draws = verify._draws(np.random.default_rng(42), 1000)
     params = [verify._params(*point) for point in draws.T]
-    system = system_grid(1.0, draws[0], 1.0, *draws[1:])
+    system = system_grid(draws[0], 1.0, *draws[1:])
     singles = [system_of(p) for p in params]
     assert np.array_equal(system.a_matrix, np.stack([s.a_matrix for s in singles]))
     assert np.array_equal(system.b_vector, np.stack([s.b_vector for s in singles]))
@@ -250,7 +250,7 @@ def test_array_forms_match_the_scalar_functions():
                           [routh_hurwitz_margins(s) for s in singles])
     assert np.array_equal(spectral_abscissa(system),
                           [spectral_abscissa(s) for s in singles])
-    assert np.array_equal(optimal_phase_grid(1.0, draws[0], 1.0, draws[1], draws[3]),
+    assert np.array_equal(optimal_phase_grid(draws[0], 1.0, draws[1], draws[3]),
                           [optimal_phase_analytic(p) for p in params])
     # numpy squares an array by x * x, Python a float by pow(): they can
     # round differently in the last place, so allow two units of it at 1
