@@ -34,13 +34,21 @@ CHECK_STRIDE = 16
 def steady_grid(n_sq, eta, phi, omega, delta):
     """Steady Bloch vector (sx, sy, sz) over scalars or broadcastable arrays.
 
-    When L = q + delta^2 and omega^2 both overflow the state is NaN. When
-    only omega^2 overflows it is the strong-drive limit (0, 0, 0); when
-    only L does, the undriven state, which is the limit only while
-    omega^2 gx stays small against L.
+    L = q + delta^2 overflows from |delta| ~ 1.3e154, so past |delta| =
+    2^500 delta, omega and u are divided by 2^e, with 2^e the binary
+    order of delta, and q by 4^e: an exact scaling that leaves every
+    other node's bits alone. When omega^2 overflows even so, the state is
+    the strong-drive limit (0, 0, 0).
     """
     m, q, gx, _, gz = decay_rates(n_sq, eta, phi)
     u = delta + m * np.sin(phi)
+    # one pass over the delta input, which a scan passes axis-sized
+    far = np.abs(delta) > 2.0**500
+    scaled = np.any(far)
+    if scaled:
+        e = np.where(far, np.frexp(delta)[1], 0)
+        q = np.ldexp(q, -2 * e)
+        omega, delta, u = (np.ldexp(x, -e) for x in (omega, delta, u))
     # gx gy + u v = q + delta^2, with v = delta - M sin(phi)
     lorentz = q + delta * delta
     # sz = -L / D and sy = omega gx / D, with D = gz L + omega^2 gx; divided
@@ -49,6 +57,8 @@ def steady_grid(n_sq, eta, phi, omega, delta):
     sz = -1.0 / (gz + omega * omega * gx_l)
     sy = -omega * gx_l * sz
     sx = -u * sy / gx
+    if scaled:
+        sy = np.ldexp(sy, -e)  # sx is invariant: u sy scales by 2^e 2^-e
     return sx, sy, sz
 
 

@@ -1,4 +1,12 @@
-"""Flat-file serialisation: versioned CSV, JSON reports, angle parsing."""
+"""Flat-file serialisation: versioned CSV, JSON reports, angle parsing.
+
+A CSV holds every value as format_float writes it, 17 significant digits
+("%.17g"), so that it reads back bit for bit. The writer encodes blocks of
+CSV_BLOCK_ROWS rows as numpy arrays (see _encoder): digits from an exact
+double-double product, laid out in fixed-width NUL-padded fields whose
+padding one bytes.translate deletes. A column that repeats its values,
+as a scan axis does, has each distinct value encoded once.
+"""
 
 from __future__ import annotations
 
@@ -14,8 +22,9 @@ from .errors import ValidationError
 
 CSV_MAGIC = "# rfsq-csv v1"
 
-#: rows formatted per write by dump_csv
-CSV_BLOCK_ROWS = 65536
+#: rows encoded per write by dump_csv; the temporaries of a block stay
+#: small enough to be reused rather than paged in afresh
+CSV_BLOCK_ROWS = 16384
 
 _ANGLE_RE = re.compile(
     r"^\s*([+-]?)((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\s*(pi)?\s*$")
@@ -72,40 +81,55 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def _repeated_strings(col: np.ndarray):
-    """The sorted distinct bit patterns of a column and their strings, or
-    None unless at most half the values of its first block, and of the
-    whole column, are distinct (formatting mostly distinct values one
-    call each is slower than a block's "%.17g")."""
+    """The sorted distinct bit patterns of a column and their encoded
+    fields (see _encoder.encode), cut to the longest text, or None unless
+    at most half the values of its first block, and of the whole column,
+    are distinct (then encoding each block as it comes costs less than
+    sorting the column)."""
+    from ._encoder import FIELD, encode
+
     head = _distinct(np.sort(col[:CSV_BLOCK_ROWS].view(np.int64)))
     if 2 * len(head) > min(len(col), CSV_BLOCK_ROWS):
         return None
     keys = _distinct(np.sort(col.view(np.int64)))
     if 2 * len(keys) > len(col):
         return None
-    strings = [format_float(v) for v in keys.view(float).tolist()]
-    return keys, np.array(strings, dtype=object)
+    fields = np.empty((len(keys), FIELD), np.uint8)
+    for lo in range(0, len(keys), CSV_BLOCK_ROWS):
+        fields[lo:lo + CSV_BLOCK_ROWS] = encode(
+            keys[lo:lo + CSV_BLOCK_ROWS].view(float))
+    width = FIELD - int(np.argmax(fields.any(axis=0)[::-1]))
+    return keys, fields[:, :width]
 
 
 def _write_table(stream, names: list, data: list) -> None:
+    from ._encoder import FIELD, encode
+
     stream.write(CSV_MAGIC + "\n")
     stream.write(",".join(names) + "\n")
-    # one % call formats a whole block of rows; "%.17g" formats a float
-    # exactly as format_float does. A column that repeats its values, as a
-    # scan axis does, has each distinct bit pattern (so -0.0 apart from
-    # 0.0) formatted once and fills a "%s" slot from those strings
+    # a column that repeats its values, as a scan axis does, has each
+    # distinct bit pattern (so -0.0 apart from 0.0) encoded once
     lookups = [_repeated_strings(col) for col in data]
-    row = ",".join("%.17g" if lookup is None else "%s" for lookup in lookups) + "\n"
-    ncols, length = len(data), len(data[0])
+    widths = [FIELD if lookup is None else lookup[1].shape[1]
+              for lookup in lookups]
+    # a row: each field, then its separator; the NUL padding is deleted
+    ends = np.cumsum(np.add(widths, 1))
+    length = len(data[0])
     for lo in range(0, length, CSV_BLOCK_ROWS):
         rows = min(CSV_BLOCK_ROWS, length - lo)
-        values = [None] * (rows * ncols)
-        for k, (col, lookup) in enumerate(zip(data, lookups)):
+        block = np.empty((rows, ends[-1]), np.uint8)
+        block[:, ends - 1] = ord(",")
+        block[:, -1] = ord("\n")
+        for col, lookup, end, width in zip(data, lookups, ends, widths):
             part = col[lo:lo + rows]
-            if lookup is not None:
-                keys, strings = lookup
-                part = strings[np.searchsorted(keys, part.view(np.int64))]
-            values[k::ncols] = part.tolist()
-        stream.write(row * rows % tuple(values))
+            if lookup is None:
+                fields = encode(part)
+            else:
+                keys, encoded = lookup
+                at = np.searchsorted(keys, part.view(np.int64))
+                fields = encoded.take(at, axis=0)
+            block[:, end - 1 - width:end - 1] = fields
+        stream.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def read_csv(path) -> dict[str, np.ndarray]:

@@ -183,7 +183,7 @@ def find_pure_curve(
     |delta| ~ 1e154), it is the closed form's finite sigma_max. Returns
     (omega, sigma_max); raises NoPureStateError when the slice never
     comes within 1e-4 of purity, and NumericalError when the steady
-    state or the drive of a near-pure slice overflows.
+    state, or the drive w_pure = omega^2 of a near-pure slice, overflows.
     Points with sigma_max >= 1 - 1e-7 count as pure.
     """
     _require_photons(n_sq)
@@ -198,7 +198,11 @@ def find_pure_curve(
             f"no pure state on this slice; best Sigma = {sigma:.6f}",
             sigma_max=sigma,
         )
-    if not (math.isfinite(sigma) and omega < math.inf):
+    if omega == math.inf:
+        raise NumericalError(
+            f"the purest drive overflows at delta = {delta!r} "
+            f"(w_pure = omega^2 = inf)")
+    if not math.isfinite(sigma):
         raise NumericalError(
             f"the steady state overflows at delta = {delta!r}, omega = {omega!r}")
     return omega, sigma

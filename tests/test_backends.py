@@ -7,6 +7,7 @@ import pytest
 
 from rfsq import AtomFieldParams, steady_state
 from rfsq.backends import relax, rk4_affine_map, steady_grid
+from rfsq.params import decay_rates
 
 from steady_oracle import solve_steady
 
@@ -76,18 +77,23 @@ def test_closed_form_is_polymorphic():
 
 
 @pytest.mark.filterwarnings("error")
-def test_overflow_gives_the_limit_or_nan():
+def test_overflow_gives_the_limit_or_the_exact_state():
+    mp = pytest.importorskip("mpmath")
     with np.errstate(all="ignore"):
-        # L = q + delta^2 overflows at omega = 0: the undriven state, exactly
+        # delta^2 overflows at omega = 0: the undriven state, exactly
         undriven = steady_grid(0.2, 1.0, math.pi, 0.0, 1e200)
         # omega^2 overflows alone: the strong-drive limit (0, 0, 0)
         saturated = steady_grid(0.2, 1.0, math.pi, 1e200, 0.0)
-        # both overflow: no limit, so NaN (it was a finite sz = -0.714)
-        lost = steady_grid(0.2, 1.0, math.pi, 2e200, 1e200)
+        # both square overflow: scaled by the order of delta, the state
+        # (it was NaN, and before that a finite sz = -0.714)
+        both = steady_grid(0.2, 1.0, math.pi, 2e200, 1e200)
     assert undriven[:2] == (0.0, 0.0)
     assert undriven[2] == -1.0 / (2.0 * 0.2 + 1.0)
     assert [abs(x) for x in saturated] == [0.0, 0.0, 0.0]
-    assert math.isnan(lost[2])
+    with mp.workdps(50):
+        want = _mpmath_steady_cramer(AtomFieldParams(
+            n_sq=0.2, phi=math.pi, omega=2e200, delta=1e200), mp)
+    assert np.all(np.abs(np.array(both) - want) <= 2e-15 * np.abs(want))
 
 
 def _mpmath_steady(params, mp):
@@ -105,6 +111,31 @@ def _mpmath_steady(params, mp):
     ])
     s = mp.lu_solve(a, mp.matrix([0, 0, 1]))
     return np.array([float(s[i]) for i in range(3)])
+
+
+def _mpmath_steady_cramer(params, mp):
+    """The 50-digit state of _mpmath_steady by Cramer's rule, which takes
+    any magnitude: mpmath's LU solve calls a system with entries near
+    1e200 singular."""
+    n, eta, phi, omega, delta = (mp.mpf(float(x)) for x in (
+        params.n_sq, params.eta, params.phi, params.omega, params.delta))
+    half = mp.mpf(1) / 2
+    m = eta * mp.sqrt(n * (n + 1))
+    a = [[-(n + half + m * mp.cos(phi)), -(delta + m * mp.sin(phi)), 0],
+         [delta - m * mp.sin(phi), -(n + half - m * mp.cos(phi)), -omega],
+         [0, omega, -2 * (n + half)]]
+
+    def det(rows):
+        return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+
+    rhs = [0, 0, 1]
+    full = det(a)
+    return np.array([
+        float(det([[rhs[r] if c == i else a[r][c] for c in range(3)]
+                   for r in range(3)]) / full)
+        for i in range(3)])
 
 
 def test_closed_form_is_accurate_against_fifty_digits():
@@ -132,3 +163,49 @@ def test_closed_form_is_accurate_against_fifty_digits():
             error = np.abs(steady_state(params).as_array() - _mpmath_steady(params, mp))
             worst = max(worst, error.max())
     assert worst <= 2e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_detuning_past_the_square_overflow_is_accurate():
+    # L = q + delta^2 overflows from |delta| ~ 1.3e154; past 2^500 the
+    # kernel divides delta, omega and u by the order of delta
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        # it exited 0 with sz = -0.7142857142857143
+        found = AtomFieldParams(n_sq=0.2, phi=math.pi, delta=1.4e154,
+                                omega=1.3e154)
+        assert steady_state(found).sz == -0.6324472954115011
+        assert _mpmath_steady_cramer(found, mp)[2] == -0.6324472954115011
+        rng = np.random.default_rng(73)
+        worst = 0.0
+        for _ in range(200):
+            delta = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(150.0, 308.0)
+            params = AtomFieldParams(
+                n_sq=10.0 ** rng.uniform(-6.0, 3.0),
+                eta=rng.uniform(0.0, 1.0),
+                phi=rng.uniform(0.0, 2.0 * math.pi),
+                # from far below to far above |delta|, within the float range
+                omega=min(abs(delta) * 10.0 ** rng.uniform(-10.0, 3.0), 1e308),
+                delta=delta,
+            )
+            got = steady_state(params).as_array()
+            want = _mpmath_steady_cramer(params, mp)
+            worst = max(worst, (np.abs(got - want) / np.abs(want)).max())
+    assert worst <= 2e-15
+
+
+def test_scaling_leaves_the_other_nodes_bits_alone():
+    # one node past 2^500 takes the whole call down the scaled path
+    delta = np.array([0.0, -1.5, 3e5, 2.0**505, -2.0**510 * 1.7])
+    omega = np.array([[0.5], [7.0], [2.0**506]])
+    sx, sy, sz = steady_grid(0.3, 0.9, 1.1, omega, delta)
+    for i in range(3):
+        for j in range(5):
+            one = steady_grid(0.3, 0.9, 1.1, omega[i, 0], delta[j])
+            assert (sx[i, j], sy[i, j], sz[i, j]) == one
+    # below 2^511 the scaled path is exact: the unscaled bits
+    with np.errstate(all="ignore"):
+        m, q, gx, _, gz = decay_rates(0.3, 0.9, 1.1)
+        lorentz = q + delta[3:] ** 2
+        sz_plain = -1.0 / (gz + 7.0 * 7.0 * gx / lorentz)
+    assert np.array_equal(sz[1, 3:], sz_plain)

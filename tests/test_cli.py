@@ -256,14 +256,13 @@ def test_pure_reduces_the_phase_modulo_two_pi(capsys, phi, expected, extra):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
-    # L = q + delta^2 and omega^2 both overflow; each exited 0 with a
-    # finite state or printed NaN
-    ("steady", "--n", "0.2", "--phi", "pi", "--delta", "1e200",
-     "--omega", "2e200"),
-    ("pure", "--n", "0.2", "--phi", "pi", "--delta", "1e300"),
+    # the Phi = pi drive overflows, and the purest drive's square
+    ("pure", "--n", "0.2", "--phi", "pi", "--delta", "1e308"),
+    ("pure", "--n", "0.2", "--phi", "pi", "--delta", "1e160", "--solve-omega"),
     ("pure", "--n", "0.2", "--phi", "2", "--delta", "1e100", "--solve-omega"),
-    ("optimize", "--n", "0.2", "--box", "omega:1e200:1e201,delta:1e200:1e201"),
-    # N (N + 1) overflows: the drive, and the rates of every box candidate
+    # N (N + 1) overflows: the state, the drive, and the rates of every box
+    # candidate
+    ("steady", "--n", "1e200", "--omega", "1"),
     ("pure", "--n", "1e300", "--phi", "pi", "--delta", "1"),
     ("optimize", "--n", "1e200", "--phi", "1", "--box", "omega:0:3,delta:0:2"),
 ])
@@ -283,14 +282,77 @@ def test_overflowing_detuning_scan(capsys):
     assert (code, err) == (0, "")
     assert [float(row.split(",")[1]) for row in out.splitlines()[2:]] == \
         [1.0 - 1.0 / 1.4] * 3
-    # with omega^2 overflowing too, only delta = 0 has a state
+    # with omega^2 overflowing too, each node has its state (the two far
+    # nodes failed as NaN); at delta = 0 it is the strong-drive limit
     code, out, err = run(capsys, "scan", "--metric", "s_x", "--n", "0.2",
                          "--omega", "1e200", "--axis1", "delta:0:1e200:3")
-    assert code == 2
-    assert [float(row.split(",")[1]) for row in out.splitlines()[2:]] == \
-        [1.0, 0.0, 0.0]
-    assert err == ("error: Numerical: 2 of 3 scan nodes failed to evaluate "
-                   "(first at [1])\n")
+    assert (code, err) == (0, "")
+    got = [float(row.split(",")[1]) for row in out.splitlines()[2:]]
+    assert got[0] == 1.0
+    for value, delta in zip(got[1:], (5e199, 1e200)):
+        sx, _, sz = _fifty_digit_state(0.2, 0.0, 1e200, delta)
+        assert value == pytest.approx(1.0 + sz - sx * sx, rel=2e-15)
+
+
+def _fifty_digit_state(n_sq, phi, omega, delta):
+    """Steady state (sx, sy, sz) at eta = 1 by a 50-digit closed form."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        n, phi, omega, delta = (mp.mpf(x) for x in (n_sq, phi, omega, delta))
+        m = mp.sqrt(n * (n + 1))
+        gx = n + 0.5 + m * mp.cos(phi)
+        gy = n + 0.5 - m * mp.cos(phi)
+        u, v = delta + m * mp.sin(phi), delta - m * mp.sin(phi)
+        lorentz = gx * gy + u * v
+        d = (2 * n + 1) * lorentz + omega ** 2 * gx
+        return (float(-u * omega / d), float(omega * gx / d),
+                float(-lorentz / d))
+
+
+@pytest.mark.filterwarnings("error")
+def test_squares_past_the_float_range_give_the_state(capsys):
+    # delta^2 overflows from |delta| ~ 1.3e154; it exited 0 with
+    # sz = -0.7142857142857143
+    code, out, err = run(capsys, "steady", "--n", "0.2", "--phi", "pi",
+                         "--delta", "1.4e154", "--omega", "1.3e154")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sz"] == -0.6324472954115011
+    # with omega^2 overflowing too, it failed with NaN
+    code, out, err = run(capsys, "steady", "--n", "0.2", "--phi", "pi",
+                         "--delta", "1e200", "--omega", "2e200")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    want = _fifty_digit_state(0.2, math.pi, 2e200, 1e200)
+    for key, value in zip(("sx", "sy", "sz"), want):
+        assert payload[key] == pytest.approx(value, rel=2e-15)
+    # the Phi = pi drive 2 delta sqrt(M) (sqrt(N + 1) + sqrt(N)) at 1e300
+    code, out, err = run(capsys, "pure", "--n", "0.2", "--phi", "pi",
+                         "--delta", "1e300")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    m = math.sqrt(0.2 * 1.2)
+    assert payload["omega"] == pytest.approx(
+        2e300 * math.sqrt(m) * (math.sqrt(1.2) + math.sqrt(0.2)), rel=1e-15)
+    assert payload["sigma_achieved"] == pytest.approx(1.0, abs=1e-12)
+    # a box far past the overflow: the least S_opt on the box's far edge
+    code, out, err = run(capsys, "optimize", "--n", "0.2", "--box",
+                         "omega:1e200:1e201,delta:1e200:1e201")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    sx, sy, sz = _fifty_digit_state(0.2, 0.0, payload["omega"],
+                                    payload["delta"])
+    assert payload["value"] == pytest.approx(1.0 + sz - sx * sx - sy * sy,
+                                             rel=2e-15)
+
+
+def test_overflowing_purest_drive_names_the_drive(capsys):
+    # the slice is near pure, but w_pure = omega^2 overflows; the steady
+    # state was blamed
+    code, out, err = run(capsys, "pure", "--n", "0.2", "--phi", "pi",
+                         "--delta", "1e160", "--solve-omega")
+    assert (code, out) == (2, "")
+    assert err == ("error: Numerical: the purest drive overflows at "
+                   "delta = 1e+160 (w_pure = omega^2 = inf)\n")
 
 
 def test_warning_is_one_line(capsys):

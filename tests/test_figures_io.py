@@ -1,5 +1,6 @@
 """Figure datasets, CSV round trips, and angle parsing."""
 
+import decimal
 import io
 import itertools
 import json
@@ -8,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
+import rfsq.io
 from rfsq import AtomFieldParams, build_figure, emit_figure, full_report
+from rfsq._encoder import encode
 from rfsq.errors import ValidationError
 from rfsq.io import (
     CSV_MAGIC,
@@ -189,6 +192,135 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValidationError):
             read_csv(path)
+
+
+def encoded_lines(values) -> list:
+    """encode's text for each value."""
+    fields = encode(np.asarray(values, dtype=float))
+    rows = np.concatenate(
+        (fields, np.full((len(fields), 1), ord("\n"), np.uint8)), axis=1)
+    return rows.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+
+
+def assert_encoded_as_format_float(values) -> None:
+    values = np.asarray(values, dtype=float)
+    got = encoded_lines(values)
+    want = [format_float(v) for v in values.tolist()]
+    if got != want:
+        k = next(k for k, (a, b) in enumerate(zip(got, want)) if a != b)
+        pytest.fail(f"{values[k]!r}: got {got[k]!r}, expected {want[k]!r}")
+
+
+def exact_ties(rng, count: int) -> np.ndarray:
+    """Values whose decimal expansion has exactly 18 significant digits,
+    the last a 5: j / 2^m for odd j, with j 5^m of 18 digits, so that 17
+    digits round half to even."""
+    m = rng.integers(2, 26, count)
+    lo = -(-10**17 // 5**m)
+    j = rng.integers(lo, np.minimum(10**18 // 5**m, 2**53)) | 1
+    keep = np.array([len(str(int(a) * 5**int(b))) == 18 for a, b in zip(j, m)])
+    ties = np.ldexp(j[keep].astype(float), -m[keep])
+    return np.where(rng.random(len(ties)) < 0.5, ties, -ties)
+
+
+def powers_of_ten_and_neighbours() -> np.ndarray:
+    """10^p for p in [-323, 308] and its three neighbours on each side."""
+    powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    values = [powers]
+    up, down = powers, powers
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        values += [up, down]
+    values = np.concatenate(values)
+    return np.concatenate((values, -values))
+
+
+def is_exact_tie(value: float) -> bool:
+    """Whether the exact decimal expansion of value has 18 significant
+    digits, the last a 5."""
+    digits = "".join(map(str, decimal.Decimal(value).as_tuple().digits))
+    digits = digits.strip("0")
+    return len(digits) == 18 and digits[-1] == "5"
+
+
+class TestEncoder:
+    """encode writes format_float's bytes for whole arrays."""
+
+    def test_random_bit_patterns(self):
+        # every exponent, both signs, NaN payloads, infinities, subnormals
+        bits = np.random.default_rng(83).integers(
+            np.iinfo(np.int64).min, np.iinfo(np.int64).max, 1 << 20,
+            dtype=np.int64, endpoint=True)
+        assert_encoded_as_format_float(bits.view(float))
+
+    def test_random_values_of_every_notation(self):
+        rng = np.random.default_rng(89)
+        mags = 10.0 ** rng.uniform(-30.0, 30.0, 200_000)
+        # few significant digits: trailing zeros, integers, bare points
+        short = rng.integers(1, 10**6, 200_000) * 10.0 ** rng.integers(
+            -30, 30, 200_000)
+        assert_encoded_as_format_float(rng.standard_normal(200_000) * mags)
+        assert_encoded_as_format_float(np.concatenate((short, -short)))
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = powers_of_ten_and_neighbours()
+        assert {9.9999999999999991e-05, 1e-05, 1e-04} <= set(values.tolist())
+        assert_encoded_as_format_float(values)
+
+    @pytest.mark.parametrize("value,text", [
+        # fixed notation from k = -4 to k = 16, scientific outside
+        (1e-05, "1.0000000000000001e-05"),
+        (9.9999999999999991e-05, "9.9999999999999991e-05"),
+        (1e-04, "0.0001"),
+        (-0.00012345, "-0.00012344999999999999"),
+        (1e16, "10000000000000000"),
+        (12345678901234568.0, "12345678901234568"),
+        (99999999999999999.0, "1e+17"),
+        (1.5e17, "1.5e+17"),
+        (123.0, "123"),
+        (0.5, "0.5"),
+        (-2.5e-300, "-2.5e-300"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+    ])
+    def test_switch_between_notations(self, value, text):
+        assert format_float(value) == text
+        assert encoded_lines([value]) == [text]
+
+    def test_exact_ties_round_half_to_even(self):
+        # 661702572039034.875 prints as ...034.88: its 7 rounds up to even
+        hand_picked = [661702572039034.875, -661702572039034.875,
+                       1234567890123456.25, 1234567890123456.75]
+        assert format_float(661702572039034.875) == "661702572039034.88"
+        ties = exact_ties(np.random.default_rng(97), 20_000)
+        assert len(ties) > 10_000
+        assert_encoded_as_format_float(np.concatenate((hand_picked, ties)))
+
+    def test_special_values(self):
+        subnormals = np.random.default_rng(101).integers(
+            1, 2**52, 10_000, dtype=np.int64).view(float)
+        values = np.concatenate((SPECIAL_VALUES, NAN_PATTERNS, subnormals,
+                                 -subnormals))
+        assert_encoded_as_format_float(values)
+
+    def test_only_ties_and_the_extremes_take_the_fallback(self, monkeypatch):
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return format_float(value)
+
+        monkeypatch.setattr(rfsq.io, "format_float", counted)
+        rng = np.random.default_rng(103)
+        values = np.concatenate((
+            rng.standard_normal(10_000), powers_of_ten_and_neighbours(),
+            exact_ties(rng, 2_000), SPECIAL_VALUES, NAN_PATTERNS,
+            [1e-289, -1e289, 2.5e-320]))
+        encode(values)
+        fallback = [v for v in values.tolist()
+                    if not 1e-288 <= abs(v) <= 1e288 or is_exact_tie(v)]
+        assert len(fallback) > 2_000
+        assert np.array_equal(np.array(calls).view(np.int64),
+                              np.array(fallback).view(np.int64))
 
 
 class TestFigureDatasets:

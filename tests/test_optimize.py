@@ -105,13 +105,19 @@ class TestMinimizeVariance:
         assert report.value <= grid_minimum([n_sq], [phi], bounds)[0]
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_nodes_rank_below_finite_ones(self):
-        # at omega = 1e200 every node but delta = 0 overflows (NaN), and
-        # delta = 0 is the strong-drive limit S_opt = 1
-        report = minimize_variance(0.2, 0.0, ((1e200, 1e200), (0.0, 1e200)))
-        assert (report.omega, report.delta, report.value) == (1e200, 0.0, 1.0)
+    def test_box_past_the_square_overflow(self):
+        # at omega = 1e200 every node but delta = 0 overflowed (NaN) and
+        # delta = 0, the strong-drive limit S_opt = 1, won; the kernel now
+        # scales them, and S_opt falls to the far edge
+        bounds = ((1e200, 1e200), (0.0, 1e200))
+        report = minimize_variance(0.2, 0.0, bounds)
+        assert (report.omega, report.delta) == (1e200, 1e200)
+        assert report.value == _variance(0.2, 1.0, 0.0, 1e200, 1e200)
+        assert report.value <= grid_minimum([0.2], [0.0], bounds)[0]
+        assert report.value == pytest.approx(0.4647991436732076, abs=1e-15)
+        # N (N + 1) overflows: every candidate's state does
         with pytest.raises(NumericalError, match="overflows throughout"):
-            minimize_variance(0.2, 0.0, ((1e200, 1e201), (1e200, 1e201)))
+            minimize_variance(1e200, 0.0, ((1e200, 1e201), (1e200, 1e201)))
 
     def test_far_detuned_box_converges(self):
         bounds = ((0.0, 3e6), (1e6, 1e6 + 10.0))
