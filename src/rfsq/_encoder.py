@@ -6,8 +6,10 @@ in [10^16, 10^17) from an exact product, and lays out its digits by %g's
 rules: fixed notation for -4 <= k <= 16, d.ddde+XX otherwise, trailing
 zeros dropped, and no bare trailing point. Each value takes a field of
 FIELD bytes, NUL-padded; the writer deletes the NULs. A value it cannot
-settle exactly goes to format_float (see encode). io imports this module
-on its first CSV write, so commands that write none do not load it.
+settle exactly goes to format_float (see encode). The double-double
+powers of ten and the two-product serve the reader too (_decoder). io
+imports this module on its first CSV write or read, so commands that do
+neither do not load it.
 """
 
 from __future__ import annotations
@@ -34,11 +36,14 @@ _TINY, _HUGE = 1e-288, 1e288
 #: table rows for the decimal exponents k of the encoder's range
 _K_OFFSET, _K_ROWS = 300, 600
 
+#: table rows for the powers 10^p, p from -300 to 305, that encoder and
+#: decoder use
+_P_OFFSET, _P_ROWS = 300, 606
+
 #: Dekker's splitter 2^27 + 1: a double into two halves of 26 bits
 _SPLITTER = 134217729.0
 
 
-@functools.lru_cache(maxsize=None)
 def _pow10_parts(p: int) -> tuple:
     """10^p as the double-double hi + lo (hi correctly rounded, lo the
     rounded residual), and hi split into 26-bit halves hh + hl. Python's
@@ -58,23 +63,38 @@ def _pow10_parts(p: int) -> tuple:
     return hi, lo, hh, hi - hh
 
 
-def _scaled(x: np.ndarray, k: np.ndarray) -> tuple:
-    """Integer part and fraction of x 10^(16-k), for x in [_TINY, _HUGE].
+#: a cache of _pow10_parts(p) as columns hi, lo, hh, hl, filled as the
+#: exponents p come up (NaN until then)
+_POW10 = np.full((4, _P_ROWS), np.nan)
 
-    x times the double-double 10^(16-k) by Dekker's exact two-product: the
-    error of the sum is about 1e-15 for a product below 10^17."""
-    row = k + _K_OFFSET
-    used = np.zeros(_K_ROWS, bool)
-    used[row] = True
-    powers = np.empty((_K_ROWS, 4))
-    for r in np.flatnonzero(used).tolist():
-        powers[r] = _pow10_parts(16 - (r - _K_OFFSET))
-    hi, lo, hh, hl = powers.take(row, axis=0).T
+
+def _pow10(p: np.ndarray) -> tuple:
+    """Arrays hi, lo, hh, hl of _pow10_parts(p) for each exponent p."""
+    row = p + _P_OFFSET
+    missing = np.isnan(_POW10[0].take(row))
+    if missing.any():
+        for r in np.flatnonzero(np.bincount(row[missing])).tolist():
+            _POW10[:, r] = _pow10_parts(r - _P_OFFSET)
+    return tuple(part.take(row) for part in _POW10)
+
+
+def _two_product(x: np.ndarray, hi, lo, hh, hl) -> tuple:
+    """x times the double-double hi + lo as the unevaluated sum prod + err:
+    Dekker's exact product of x and hi (hi split into hh + hl), plus x lo."""
     prod = x * hi
     xh = _SPLITTER * x
     xh -= xh - x
     xl = x - xh
     err = (((xh * hh - prod) + xh * hl + xl * hh) + xl * hl) + x * lo
+    return prod, err
+
+
+def _scaled(x: np.ndarray, k: np.ndarray) -> tuple:
+    """Integer part and fraction of x 10^(16-k), for x in [_TINY, _HUGE].
+
+    The error of the two-product's sum is about 1e-15 for a product below
+    10^17."""
+    prod, err = _two_product(x, *_pow10(16 - k))
     whole = np.floor(prod)
     frac = (prod - whole) + err
     carry = np.floor(frac)

@@ -6,6 +6,15 @@ CSV_BLOCK_ROWS rows as numpy arrays (see _encoder): digits from an exact
 double-double product, laid out in fixed-width NUL-padded fields whose
 padding one bytes.translate deletes. A column that repeats its values,
 as a scan axis does, has each distinct value encoded once.
+
+The reader is the writer's inverse (_decoder.decode): it streams the file
+in fixed-size chunks, turns each field's digits into an integer M and a
+power of ten q, and rounds M 10^q through the same double-double powers;
+a field within about 1e-6 ulp of a tie, or with q outside [-290, 290],
+goes to float(). A file with any field or line it does not take (nan,
+inf, 1E5, +1, spaces, "\r", blank lines, malformed rows) is read whole by
+np.loadtxt instead, so the values, and the files and errors accepted, are
+exactly np.loadtxt's.
 """
 
 from __future__ import annotations
@@ -134,7 +143,15 @@ def _write_table(stream, names: list, data: list) -> None:
 
 def read_csv(path) -> dict[str, np.ndarray]:
     """Read a versioned CSV back into named columns."""
+    from ._decoder import decode
+
     path = Path(path)
+    names, data = decode(path) or _load_csv(path)
+    return {name: data[:, k] for k, name in enumerate(names)}
+
+
+def _load_csv(path: Path) -> tuple[list, np.ndarray]:
+    """The names and values of a CSV file, read by np.loadtxt."""
     with path.open("r", encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != CSV_MAGIC:
@@ -153,7 +170,7 @@ def read_csv(path) -> dict[str, np.ndarray]:
     if data.shape[1] != len(names):
         raise ValidationError(
             f"{path}: rows have {data.shape[1]} columns, header has {len(names)}")
-    return {name: data[:, k] for k, name in enumerate(names)}
+    return names, data
 
 
 def write_json(path, payload: dict) -> Path:

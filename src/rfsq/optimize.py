@@ -134,22 +134,23 @@ def minimize_variance_batch(n_sq, phi, bounds, eta: float = 1.0):
         m, q, gx, _, gz = decay_rates(n_sq, eta, phi)
         a = m * np.sin(phi)
         # the quadratic (times delta, so delta = 0 joins the candidates)
-        polys, scales = [[-a, q - a * a - gx * gx, q * a, 0.0 * a]], [1.0]
+        polys, shifts = [[-a, q - a * a - gx * gx, q * a, 0.0 * a]], [0]
         for omega in (w_lo, w_hi):
-            # the cubic in y = delta / s, divided by s^3: with s = 2^k > omega,
+            # the cubic in y = delta / 2^k, divided by 2^(3k): with 2^k > omega,
             # an exact scaling, its coefficients stay finite at any omega
-            s = math.ldexp(1.0, max(math.frexp(omega)[1], 0))
-            t = 1.0 / s
+            # (2^k itself is not formed: for omega >= 2^1023 it overflows)
+            k = max(math.frexp(omega)[1], 0)
+            t = math.ldexp(1.0, -k)
             load = gz * q * t * t + gx * (omega * t) ** 2
             polys.append([gz * (gx - 1.0), -3.0 * a * gz * t,
                           (gx + 1.0) * load - 2.0 * gz * (a * a + gx * gx) * t * t,
                           a * load * t])
-            scales.append(s)
+            shifts.append(k)
         roots = _real_roots(np.stack([np.concatenate(p, axis=1) for p in polys], 1))
         deltas = np.clip(np.concatenate(
             [np.full((len(n_sq), 2), (d_lo, d_hi)),
-             (roots * np.array(scales)[:, None]).reshape(len(n_sq), -1)], axis=1),
-            d_lo, d_hi)
+             np.ldexp(roots, np.array(shifts)[:, None]).reshape(len(n_sq), -1)],
+            axis=1), d_lo, d_hi)
         # fmax maps an overflowed (NaN) optimum to omega = w_lo
         omegas = np.clip(np.sqrt(np.fmax(drive_optima(n_sq, eta, phi, deltas)[0], 0.0)),
                          w_lo, w_hi)

@@ -275,6 +275,21 @@ def test_overflowing_state_fails_cleanly(capsys, argv):
 
 
 @pytest.mark.filterwarnings("error")
+def test_box_bound_at_the_top_of_the_float_range(capsys):
+    # the cubic's scale 2^k overflowed for an omega bound >= 2^1023 (a
+    # traceback); the optimum is the one of any box that holds it
+    code, out, err = run(capsys, "optimize", "--n", "0.2", "--phi", "1",
+                         "--box", "omega:0:1e308,delta:0:1")
+    assert (code, err) == (0, "")
+    code, small, _ = run(capsys, "optimize", "--n", "0.2", "--phi", "1",
+                         "--box", "omega:0:30,delta:0:1")
+    got, want = json.loads(out), json.loads(small)
+    assert {k: got[k] for k in ("omega", "delta", "value")} == \
+        {k: want[k] for k in ("omega", "delta", "value")}
+    assert math.isfinite(got["value"])
+
+
+@pytest.mark.filterwarnings("error")
 def test_overflowing_detuning_scan(capsys):
     # undriven, every detuning gives the undriven state
     code, out, err = run(capsys, "scan", "--metric", "s_x", "--n", "0.2",
@@ -554,6 +569,30 @@ def test_commands_do_not_import_scipy():
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_csv_codec_loads_only_for_csv(tmp_path):
+    # import rfsq and a point command leave the codec unloaded; a CSV read
+    # loads the reader and the encoder whose powers of ten it shares
+    script = (
+        "import sys\n"
+        "import rfsq\n"
+        "codec = {'rfsq._encoder', 'rfsq._decoder'}\n"
+        "assert not codec & set(sys.modules)\n"
+        "from rfsq.cli import main\n"
+        "assert main(['report', '--n', '0.2', '--omega', '1']) == 0\n"
+        "assert not codec & set(sys.modules)\n"
+        "from rfsq.io import read_csv\n"
+        "read_csv(sys.argv[1])\n"
+        "assert codec <= set(sys.modules)\n"
+    )
+    path = tmp_path / "x.csv"
+    path.write_text("# rfsq-csv v1\na\n1\n")
+    src = Path(rfsq.optimize.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -5,12 +5,16 @@ import io
 import itertools
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rfsq._decoder
 import rfsq.io
 from rfsq import AtomFieldParams, build_figure, emit_figure, full_report
+from rfsq._decoder import decode
 from rfsq._encoder import encode
 from rfsq.errors import ValidationError
 from rfsq.io import (
@@ -321,6 +325,146 @@ class TestEncoder:
         assert len(fallback) > 2_000
         assert np.array_equal(np.array(calls).view(np.int64),
                               np.array(fallback).view(np.int64))
+
+
+def loadtxt_columns(path) -> tuple:
+    """The names and rows of a CSV as np.loadtxt reads the lines after the
+    magic line and the header (a ValueError where it rejects them, or they
+    do not match the header)."""
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        names = fh.readline().rstrip("\n").split(",")
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2)
+    if rows.size == 0:
+        rows = np.empty((0, len(names)))
+    if rows.shape[1] != len(names):
+        raise ValueError(f"{rows.shape[1]} columns, {len(names)} names")
+    return names, rows
+
+
+def assert_read_as_loadtxt(path, fast: bool) -> None:
+    """read_csv returns np.loadtxt's bits (or raises where it raises), and
+    decodes the file itself exactly when fast."""
+    assert (decode(path) is not None) is fast
+    try:
+        names, want = loadtxt_columns(path)
+    except ValueError:
+        with pytest.raises(ValidationError):
+            read_csv(path)
+        return
+    got = read_csv(path)
+    assert list(got) == names
+    for k, name in enumerate(names):
+        bad = np.flatnonzero(got[name].view(np.int64) != want[:, k].view(np.int64))
+        if len(bad):
+            i = bad[0]
+            pytest.fail(f"{name}[{i}]: got {got[name][i]!r}, expected {want[i, k]!r}")
+
+
+def one_column_file(tmp_path, body: str) -> Path:
+    path = tmp_path / "x.csv"
+    path.write_bytes(f"{CSV_MAGIC}\na\n{body}".encode())
+    return path
+
+
+class TestDecoder:
+    """read_csv decodes rfsq's CSVs itself, with np.loadtxt's bits."""
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_lengths_across_chunks_and_blocks(self, tmp_path, length):
+        rng = np.random.default_rng(107)
+        values = rng.standard_normal(length) * 10.0 ** rng.uniform(-6, 6, length)
+        columns = {"a": values, "b": np.round(values), "c": -values * 1e-5}
+        path = write_csv(tmp_path / "x.csv", columns)
+        assert_read_as_loadtxt(path, fast=True)
+
+    @pytest.mark.parametrize("chunk", [25, 64, 1000])
+    def test_rows_across_small_chunks(self, tmp_path, monkeypatch, chunk):
+        # a row longer than a chunk (25 bytes) sends the file to np.loadtxt
+        monkeypatch.setattr(rfsq._decoder, "DECODE_CHUNK", chunk)
+        values = np.random.default_rng(109).standard_normal(500)
+        path = write_csv(tmp_path / "x.csv", {"a": values, "b": values[::-1]})
+        assert_read_as_loadtxt(path, fast=chunk > 25)
+        assert np.array_equal(read_csv(path)["a"], values)
+
+    def test_random_bit_patterns_and_powers(self, tmp_path):
+        rng = np.random.default_rng(113)
+        bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                            600_000, dtype=np.int64, endpoint=True).view(float)
+        subnormals = rng.integers(1, 2**52, 10_000, dtype=np.int64).view(float)
+        values = np.concatenate((
+            bits[np.isfinite(bits)], powers_of_ten_and_neighbours(),
+            subnormals, -subnormals, np.ldexp(1.0, np.arange(-1074, 1024))))
+        values = np.resize(rng.permutation(values), (-(-len(values) // 4), 4))
+        path = write_csv(tmp_path / "x.csv", dict(zip("abcd", values.T)))
+        assert_read_as_loadtxt(path, fast=True)
+
+    def test_special_values_take_the_fallback(self, tmp_path):
+        special = np.concatenate((SPECIAL_VALUES, NAN_PATTERNS))
+        path = write_csv(tmp_path / "x.csv", {"a": special, "b": special[::-1]})
+        assert_read_as_loadtxt(path, fast=False)
+
+    def test_codec_needs_no_numpy_2_functions(self, tmp_path, monkeypatch):
+        # pyproject allows numpy 1.24: the functions numpy 2.0 added must
+        # not be on the codec's path
+        for name in ("bitwise_count", "concat", "astype", "isdtype", "vecdot",
+                     "permute_dims", "matrix_transpose", "unique_values",
+                     "unique_counts", "unique_inverse", "unique_all",
+                     "cumulative_sum", "cumulative_prod", "strings"):
+            monkeypatch.delattr(np, name, raising=False)
+        values = np.array([0.5, -12.25, 1e-7, 3e21, -0.0, 7.0, 1 / 3, 2.5e-300])
+        path = write_csv(tmp_path / "x.csv", {"a": values, "b": values[::-1]})
+        assert_read_as_loadtxt(path, fast=True)
+
+    @pytest.mark.parametrize("text", [
+        "1.", ".5", "007", "-0", "0", "-.5", "5.5e-05", "1e+05", "-2.5e-300",
+        "1.5e+100", "123456789012345678", "0.000000000000000000001",
+        # exact ties between two doubles, rounded by float(): half to even
+        # goes down for the first three, up for the last two
+        "9007199254740993", "-18014398509481986", "4503599627370496.5",
+        "9007199254740995", "-4503599627370497.5",
+        # powers of ten outside 1e-290..1e290, rounded by float()
+        "1e-290", "1e-291", "1e+291", "-1e+308", "0e+999",
+        "2.2250738585072011e-308", "4.9406564584124654e-324",
+    ])
+    def test_fields_it_decodes(self, tmp_path, text):
+        assert_read_as_loadtxt(one_column_file(tmp_path, f"{text}\n"), fast=True)
+
+    @pytest.mark.parametrize("text", [
+        "1E5", "+1", " 1", "1 ", "1e5", "1.e5", "1e+5", "Infinity", "inf",
+        "-nan", "1234567890123456789", "0.0000000000000000000000001",
+        # rejected by np.loadtxt too
+        "1_0", "0x10", "--1", "1-2", "1.2.3", ".", "-", "e+05", ".e+05", "1e",
+    ])
+    def test_fields_it_leaves_to_loadtxt(self, tmp_path, text):
+        assert_read_as_loadtxt(one_column_file(tmp_path, f"{text}\n"), fast=False)
+
+    @pytest.mark.parametrize("data,fast", [
+        (f"{CSV_MAGIC}\na,b\n", True),
+        (f"{CSV_MAGIC}\na,b\n1,2\n-3,4.5\n", True),
+        (f"{CSV_MAGIC}\r\na,b\r\n1,2\r\n", False),
+        (f"{CSV_MAGIC}\na,b\n1,2\r\n", False),
+        (f"{CSV_MAGIC}\na,b\n1,2\n3,4", False),
+        (f"{CSV_MAGIC}\na,b", False),
+        (f"{CSV_MAGIC}\na,b\n1,2\n\n3,4\n", False),
+        (f"{CSV_MAGIC}\na,b\n1,2\n# note\n3,4\n", False),
+        (f"{CSV_MAGIC}\na,b\n1,2,3\n", False),
+        (f"{CSV_MAGIC}\na,b\n1\n2\n", False),
+        (f"{CSV_MAGIC}\na,b\n1,2,3\n4\n", False),
+        (f"{CSV_MAGIC}\na,b\n1,,2\n", False),
+    ])
+    def test_whole_files(self, tmp_path, data, fast):
+        path = tmp_path / "x.csv"
+        path.write_bytes(data.encode())
+        assert_read_as_loadtxt(path, fast)
+
+    def test_figure_files(self, tmp_path):
+        for number in range(2, 8):
+            path = emit_figure(number, tmp_path / f"fig{number}.csv")["csv"]
+            assert_read_as_loadtxt(path, fast=True)
 
 
 class TestFigureDatasets:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from rfsq.bloch import (  # noqa: E402
     routh_hurwitz_margins, steady_state, system_grid)
+from rfsq.io import read_csv, write_csv  # noqa: E402
 from rfsq.metrics import (  # noqa: E402
     optimal_phase_analytic, optimal_variance, pure_state_variance)
 from rfsq.optimize import VARIANCE_BOUND, minimize_variance_batch  # noqa: E402
@@ -109,3 +110,30 @@ def test_purity_and_variance_respect_their_bounds(params):
 def test_bloch_matrix_is_hurwitz(params):
     margins = routh_hurwitz_margins(system_grid(**params.inputs()))
     assert all(margin > 0.0 for margin in margins)
+
+
+def _from_bits(bits: int) -> float:
+    return float(np.array(bits, np.int64).view(float))
+
+
+#: any float64 but NaN (whose payload the text drops): bit patterns, and
+#: the zeros, extremes and subnormals Hypothesis favours
+csv_values = st.one_of(
+    st.integers(-2**63, 2**63 - 1).map(_from_bits),
+    st.floats(allow_nan=False),
+).filter(lambda x: not math.isnan(x))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(st.integers(1, 4).flatmap(
+    lambda ncols: st.lists(st.lists(csv_values, min_size=ncols, max_size=ncols),
+                           max_size=40)))
+def test_csv_round_trip_keeps_the_bits(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "x.csv"
+    ncols = len(rows[0]) if rows else 2
+    data = np.array(rows, dtype=float).reshape(-1, ncols)
+    names = [f"c{k}" for k in range(ncols)]
+    back = read_csv(write_csv(path, dict(zip(names, data.T))))
+    assert list(back) == names
+    for k, name in enumerate(names):
+        assert np.array_equal(back[name].view(np.int64), data[:, k].view(np.int64))
