@@ -7,8 +7,10 @@ integrator map until a trajectory relaxes.
 Steady state: the solution of ``A s + b = 0`` is written out in closed
 form (adjugate solution of the 3x3 system), which is exact for the Bloch
 matrix whose determinant never vanishes for valid parameters. The
-expression is plain numpy, so it evaluates scalars and broadcastable
-arrays alike; constant inputs are never expanded to the grid's size.
+expression is written once over an array namespace (see _carrier):
+``steady_grid`` evaluates it with numpy over broadcastable arrays, and
+never expands constant inputs to the grid's size; ``bloch.steady_state``
+evaluates it on Python floats, without numpy.
 
 Relaxation: one step of the classic fixed-step RK4 scheme applied to a
 constant-coefficient linear system is the affine map ``s -> E s + c``
@@ -23,9 +25,7 @@ each point's map amortises it further.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .params import decay_rates
+from .params import _rates
 
 #: burst length between residual checks during relaxation
 CHECK_STRIDE = 16
@@ -34,21 +34,34 @@ CHECK_STRIDE = 16
 def steady_grid(n_sq, eta, phi, omega, delta):
     """Steady Bloch vector (sx, sy, sz) over scalars or broadcastable arrays.
 
+    The inputs go through np.asarray, so each component is a numpy array
+    or numpy scalar, float inputs included.
+    """
+    import numpy as np
+
+    return _steady(np, *(np.asarray(x, dtype=float)
+                         for x in (n_sq, eta, phi, omega, delta)))
+
+
+def _steady(xp, n_sq, eta, phi, omega, delta):
+    """``steady_grid`` on the namespace xp (see _carrier).
+
     L = q + delta^2 overflows from |delta| ~ 1.3e154, so past |delta| =
     2^500 delta, omega and u are divided by 2^e, with 2^e the binary
     order of delta, and q by 4^e: an exact scaling that leaves every
     other node's bits alone. When omega^2 overflows even so, the state is
-    the strong-drive limit (0, 0, 0).
+    the strong-drive limit (0, 0, 0). No denominator can be zero: L >= 1/4,
+    gamma_z >= 1 and gamma_x > 0.
     """
-    m, q, gx, _, gz = decay_rates(n_sq, eta, phi)
-    u = delta + m * np.sin(phi)
+    m, q, gx, _, gz = _rates(xp, n_sq, eta, phi)
+    u = delta + m * xp.sin(phi)
     # one pass over the delta input, which a scan passes axis-sized
-    far = np.abs(delta) > 2.0**500
-    scaled = np.any(far)
+    far = xp.abs(delta) > 2.0**500
+    scaled = xp.any(far)
     if scaled:
-        e = np.where(far, np.frexp(delta)[1], 0)
-        q = np.ldexp(q, -2 * e)
-        omega, delta, u = (np.ldexp(x, -e) for x in (omega, delta, u))
+        e = xp.where(far, xp.frexp(delta)[1], 0)
+        q = xp.ldexp(q, -2 * e)
+        omega, delta, u = (xp.ldexp(x, -e) for x in (omega, delta, u))
     # gx gy + u v = q + delta^2, with v = delta - M sin(phi)
     lorentz = q + delta * delta
     # sz = -L / D and sy = omega gx / D, with D = gz L + omega^2 gx; divided
@@ -58,7 +71,7 @@ def steady_grid(n_sq, eta, phi, omega, delta):
     sy = -omega * gx_l * sz
     sx = -u * sy / gx
     if scaled:
-        sy = np.ldexp(sy, -e)  # sx is invariant: u sy scales by 2^e 2^-e
+        sy = xp.ldexp(sy, -e)  # sx is invariant: u sy scales by 2^e 2^-e
     return sx, sy, sz
 
 
@@ -73,6 +86,8 @@ def rk4_affine_map(a, b, h):
     Works on one system (a (3, 3), b (3,), scalar h) or on a stack (a
     (P, 3, 3), b (P, 3), h scalar or (P,)); E and c take the stack's shape.
     """
+    import numpy as np
+
     h = np.asarray(h, dtype=float)
     hm = h[..., None, None]
     hv = h[..., None]
@@ -98,6 +113,8 @@ def relax(e, c, a, b, s0, stop_resid, max_steps, blow=10.0):
     (states (P, 3), residuals (P,), steps (P,)); a residual of inf flags
     a point whose state passed the blow-up sentinel.
     """
+    import numpy as np
+
     # pre-compose CHECK_STRIDE steps of each map: (E, c) -> (E^k, sum E^j c)
     eb, cb = e, c
     strides = CHECK_STRIDE.bit_length() - 1  # CHECK_STRIDE is a power of two

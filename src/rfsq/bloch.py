@@ -11,7 +11,8 @@ ds/dt = A s + b with
 with every rate and frequency in units of gamma. A is Hurwitz for every
 valid parameter set (Routh-Hurwitz margins are strictly positive), so
 the steady state is unique and attracting. It is computed in closed form
-(``backends.steady_grid``); relaxation under the fixed-step RK4 map
+(``backends.steady_grid`` over arrays, and on Python floats without numpy
+for ``steady_state``); relaxation under the fixed-step RK4 map
 (``relax_batch``) provides an independent time-domain oracle.
 """
 
@@ -20,9 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import backends
+from ._carrier import SCALAR
 from .errors import (
     NoConvergenceError,
     NumericalError,
@@ -58,6 +58,8 @@ class BlochState:
         return 1.0 + self.sz - self.sx * self.sx - self.sy * self.sy
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([self.sx, self.sy, self.sz])
 
     @classmethod
@@ -79,6 +81,8 @@ def system_grid(n_sq, eta, phi, omega, delta) -> BlochSystem:
     a_matrix is (..., 3, 3) and b_vector (..., 3), with ... the broadcast
     shape: one system for scalar inputs, a stack for arrays.
     """
+    import numpy as np
+
     n_sq, eta, phi, omega, delta = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (n_sq, eta, phi, omega, delta)))
     m, _, gamma_x, gamma_y, gamma_z = decay_rates(n_sq, eta, phi)
@@ -96,17 +100,22 @@ def system_grid(n_sq, eta, phi, omega, delta) -> BlochSystem:
 def steady_state(params: AtomFieldParams) -> BlochState:
     """Unique steady state of the Bloch equations.
 
-    Raises NumericalError when the closed form overflows (for example
-    when N(N+1) exceeds the float range).
+    Evaluated on Python floats, without numpy. Raises NumericalError when
+    the closed form overflows (for example when N(N+1) exceeds the float
+    range).
     """
-    with np.errstate(all="ignore"):
-        sx, sy, sz = backends.steady_grid(**params.inputs())
+    return _steady_state(SCALAR, params)
+
+
+def _steady_state(xp, params: AtomFieldParams) -> BlochState:
+    """``steady_state`` on a scalar namespace xp (see _carrier)."""
+    sx, sy, sz = backends._steady(xp, *(float(x) for x in params.inputs().values()))
     if not (math.isfinite(sx) and math.isfinite(sy) and math.isfinite(sz)):
         raise NumericalError(
             f"steady state is not finite at {params} "
             f"(sx, sy, sz = {sx}, {sy}, {sz})"
         )
-    return BlochState(float(sx), float(sy), float(sz))
+    return BlochState(sx, sy, sz)
 
 
 def steady_state_grid(n_sq, eta, phi, omega, delta):
@@ -115,6 +124,8 @@ def steady_state_grid(n_sq, eta, phi, omega, delta):
     Returns three float64 arrays (sx, sy, sz) in the broadcast shape.
     Constant inputs stay scalars: nothing is expanded to the grid size.
     """
+    import numpy as np
+
     return backends.steady_grid(
         *(np.asarray(x, dtype=float) for x in (n_sq, eta, phi, omega, delta))
     )
@@ -127,6 +138,8 @@ def routh_hurwitz_margins(system: BlochSystem):
     + c1 lam + c0. Over a stack of systems (a_matrix (..., 3, 3)) each
     margin is an array.
     """
+    import numpy as np
+
     a = system.a_matrix
     c2 = -np.trace(a, axis1=-2, axis2=-1)
     c1 = (  # sum of the principal 2x2 minors
@@ -143,6 +156,8 @@ def spectral_abscissa(system: BlochSystem):
 
     Over a stack of systems, one value per system.
     """
+    import numpy as np
+
     return np.linalg.eigvals(system.a_matrix).real.max(axis=-1)
 
 
@@ -175,6 +190,8 @@ def relax_batch(params_seq, s0=None, tol: float = 1e-10) -> np.ndarray:
     per point). Raises StepTooLargeError or NoConvergenceError for the
     first failing point, naming its index.
     """
+    import numpy as np
+
     if np.any(np.asarray(tol) <= 0.0):
         raise ValidationError(f"tol must be positive, got {tol}")
     if s0 is None:

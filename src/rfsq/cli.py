@@ -15,6 +15,10 @@ or naming a directory) exits 1 with the operating system's reason as
 its kind, such as 'error: IsADirectory: ...'. Errors print a single
 line 'error: <kind>: <detail>' on stderr, and warnings one line each,
 'warning: <kind>: <detail>'.
+
+Each command imports what it runs when it runs: report, steady, pure,
+crossover, --help, --version and every validation error never load
+numpy, while scan, figure, optimize, verify and --format csv do.
 """
 
 from __future__ import annotations
@@ -27,21 +31,8 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import NumericalError, RfsqError, ValidationError
-from .figures import emit_figure
 from .io import dump_csv, dump_json, parse_angle, write_csv, write_json
-from .metrics import full_report
-from .optimize import check_box_side, find_crossover, minimize_variance
 from .params import AtomFieldParams
-from .pure import (
-    condition_phi_pi,
-    find_pure_curve,
-    is_opposed_phase,
-    is_pure_point,
-    pure_state,
-)
-from .bloch import steady_state
-from .scan import AxisSpec, ScanSpec, scan
-from .verify import run_verify
 
 
 def _is_negative_number(token: str) -> bool:
@@ -128,7 +119,9 @@ def _add_output(parser, fmt: bool = True) -> None:
 
 
 @_flag_type
-def _parse_axis(text: str) -> AxisSpec:
+def _parse_axis(text: str):
+    from .scan import AxisSpec
+
     parts = text.split(":")
     if len(parts) != 4:
         raise ValidationError(
@@ -146,6 +139,8 @@ def _parse_axis(text: str) -> AxisSpec:
 
 @_flag_type
 def _parse_box(text: str):
+    from .optimize import check_box_side
+
     sides = {}
     for chunk in text.split(","):
         parts = chunk.split(":")
@@ -240,6 +235,8 @@ def _emit(args, payload: dict) -> None:
 
 
 def _cmd_steady(args, params: AtomFieldParams) -> int:
+    from .bloch import steady_state
+
     state = steady_state(params)
     _emit(args, {
         "sx": state.sx, "sy": state.sy, "sz": state.sz,
@@ -249,6 +246,8 @@ def _cmd_steady(args, params: AtomFieldParams) -> int:
 
 
 def _cmd_report(args, params: AtomFieldParams) -> int:
+    from .metrics import full_report
+
     payload = full_report(params).as_dict()
     payload["inputs"] = params.inputs()
     _emit(args, payload)
@@ -256,6 +255,8 @@ def _cmd_report(args, params: AtomFieldParams) -> int:
 
 
 def _cmd_scan(args, params: AtomFieldParams) -> int:
+    from .scan import ScanSpec, scan
+
     result = scan(ScanSpec(axis1=args.axis1, axis2=args.axis2, fixed=params,
                            metric=args.metric, theta=args.theta))
     if args.out is None:
@@ -273,6 +274,8 @@ def _cmd_scan(args, params: AtomFieldParams) -> int:
 
 
 def _cmd_figure(args, params: AtomFieldParams) -> int:
+    from .figures import emit_figure
+
     out = args.out or Path(f"fig{args.number}.csv")
     for kind, path in emit_figure(args.number, out, script=args.script).items():
         print(f"{kind}: {path}")
@@ -280,12 +283,22 @@ def _cmd_figure(args, params: AtomFieldParams) -> int:
 
 
 def _cmd_optimize(args, params: AtomFieldParams) -> int:
+    from .optimize import minimize_variance
+
     report = minimize_variance(params.n_sq, params.phi, args.box, eta=params.eta)
     _emit(args, {**report.as_dict(), "inputs": params.inputs()})
     return 0
 
 
 def _cmd_pure(args, params: AtomFieldParams) -> int:
+    from .pure import (
+        condition_phi_pi,
+        find_pure_curve,
+        is_opposed_phase,
+        is_pure_point,
+        pure_state,
+    )
+
     if args.solve_omega:
         omega, sigma = find_pure_curve(params.phi, params.n_sq, params.delta,
                                        eta=params.eta)
@@ -304,11 +317,15 @@ def _cmd_pure(args, params: AtomFieldParams) -> int:
 
 
 def _cmd_crossover(args, params: AtomFieldParams) -> int:
+    from .optimize import find_crossover
+
     _emit(args, {"n_star": find_crossover(eta=params.eta)})
     return 0
 
 
 def _cmd_verify(args, params: AtomFieldParams) -> int:
+    from .verify import run_verify
+
     return 0 if run_verify(seed=args.seed, fast=args.fast) else 3
 
 

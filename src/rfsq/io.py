@@ -15,6 +15,9 @@ goes to float(). A file with any field or line it does not take (nan,
 inf, 1E5, +1, spaces, "\r", blank lines, malformed rows) is read whole by
 np.loadtxt instead, so the values, and the files and errors accepted, are
 exactly np.loadtxt's.
+
+numpy is imported by the CSV functions alone: parse_angle and the JSON
+writers serve the point commands, which never load it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import math
 import re
 import warnings
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -77,6 +78,8 @@ def write_csv(path, columns: dict[str, np.ndarray]) -> Path:
 
 def _csv_table(columns: dict[str, np.ndarray]) -> tuple[list, list]:
     """Column names and flat float columns, checked to have equal lengths."""
+    import numpy as np
+
     names = list(columns)
     data = [np.asarray(columns[name], dtype=float).ravel() for name in names]
     if any(len(col) != len(data[0]) for col in data):
@@ -86,6 +89,8 @@ def _csv_table(columns: dict[str, np.ndarray]) -> tuple[list, list]:
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct entries of a sorted array."""
+    import numpy as np
+
     return np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
 
 
@@ -95,6 +100,8 @@ def _repeated_strings(col: np.ndarray):
     at most half the values of its first block, and of the whole column,
     are distinct (then encoding each block as it comes costs less than
     sorting the column)."""
+    import numpy as np
+
     from ._encoder import FIELD, encode
 
     head = _distinct(np.sort(col[:CSV_BLOCK_ROWS].view(np.int64)))
@@ -112,6 +119,8 @@ def _repeated_strings(col: np.ndarray):
 
 
 def _write_table(stream, names: list, data: list) -> None:
+    import numpy as np
+
     from ._encoder import FIELD, encode
 
     stream.write(CSV_MAGIC + "\n")
@@ -152,6 +161,8 @@ def read_csv(path) -> dict[str, np.ndarray]:
 
 def _load_csv(path: Path) -> tuple[list, np.ndarray]:
     """The names and values of a CSV file, read by np.loadtxt."""
+    import numpy as np
+
     with path.open("r", encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
         if magic != CSV_MAGIC:

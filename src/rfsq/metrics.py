@@ -14,14 +14,14 @@ modulo pi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
+from ._carrier import SCALAR, carrier
 from .bloch import BlochState, steady_state
 from .errors import NumericalError
-from .params import AtomFieldParams, decay_rates
+from .params import AtomFieldParams, _rates, decay_rates
 
 #: coherence below this is treated as zero and every phase ties
 COHERENCE_FLOOR = 1e-20
@@ -63,7 +63,8 @@ class SqueezingReport:
 
 def variance_theta_xyz(sx, sy, sz, theta):
     """S_theta from raw Bloch components; polymorphic over arrays."""
-    coherence = sx * np.cos(theta) - sy * np.sin(theta)
+    xp = carrier(sx, sy, sz, theta)
+    coherence = sx * xp.cos(theta) - sy * xp.sin(theta)
     return 1.0 + sz - coherence * coherence
 
 
@@ -79,34 +80,42 @@ def optimal_variance(state: BlochState) -> float:
     <sz>(1 + <sz>) + 1 - Sigma. Polymorphic: a state whose components are
     arrays gives an array, and the check must then hold at every point.
     """
+    xp = carrier(state.sx, state.sy, state.sz)
     value = state.s_opt
     alt = state.sz * (1.0 + state.sz) + 1.0 - state.sigma
     err = abs(value - alt)
-    # err > 1e-14 max(1, |value|), in operators that keep float components
-    # in Python floats; a pass is then a plain False that skips numpy
+    # err > 1e-14 max(1, |value|)
     violated = (err > 1e-14) & (err > 1e-14 * abs(value))
-    if violated is not False and np.any(violated):
-        k = np.argmax(violated)
+    if xp.any(violated):
+        first = (value, alt)
+        if xp is not SCALAR:
+            k = xp.argmax(violated)
+            first = (xp.ravel(value)[k], xp.ravel(alt)[k])
         raise NumericalError(
-            f"variance identity violated: {float(np.ravel(value)[k])!r} "
-            f"vs {float(np.ravel(alt)[k])!r}"
-        )
+            f"variance identity violated: {float(first[0])!r} vs {float(first[1])!r}")
     return value
 
 
-#: libm's atan2, elementwise. numpy's own arctan2 differs from it in the
-#: last place at about 7% of the Bloch-sweep points, and there libm's is
-#: nearly always the closer to the exact angle
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
+@functools.cache
+def _atan2_ufunc():
+    """libm's atan2, elementwise. numpy's own arctan2 differs from it in the
+    last place at about 7% of the Bloch-sweep points, and there libm's is
+    nearly always the closer to the exact angle."""
+    import numpy as np
+
+    return np.frompyfunc(math.atan2, 2, 1)
 
 
 def _longitude(n_sq, eta, phi, delta):
     """(alpha, M): the optimal quadrature phase before reduction, and M."""
-    m, _, gamma_x, _, _ = decay_rates(n_sq, eta, phi)
+    xp = carrier(n_sq, eta, phi, delta)
+    m, _, gamma_x, _, _ = _rates(xp, n_sq, eta, phi)
     # gamma_x > 0 always, so alpha lands in (0, pi), at pi/2 for a zero
     # second argument
-    alpha = _atan2(gamma_x, delta + m * np.sin(phi))
-    return np.asarray(alpha, dtype=float), m
+    u = delta + m * xp.sin(phi)
+    if xp is SCALAR:
+        return math.atan2(gamma_x, u), m
+    return xp.asarray(_atan2_ufunc()(gamma_x, u), dtype=float), m
 
 
 def optimal_phase_grid(n_sq, eta, phi, delta):
@@ -126,8 +135,9 @@ def sphere_angles(params: AtomFieldParams) -> tuple[float, float]:
     [0, pi); beta is the colatitude fixed by the reservoir, with the
     undriven N = 0 corner mapped to the south pole (beta = pi).
     """
-    alpha, m = _longitude(params.n_sq, params.eta, params.phi, params.delta)
-    alpha, m, n = float(alpha), float(m), params.n_sq
+    alpha, m = _longitude(*(float(x) for x in (
+        params.n_sq, params.eta, params.phi, params.delta)))
+    n = params.n_sq
     if m + n == 0.0:
         return alpha, math.pi
     return alpha, math.acos(-(m - n) / (m + n))

@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
+from ._carrier import carrier
 from .bloch import BlochState, steady_state_grid
 from .errors import CertificationFailedError, NumericalError, ValidationError
 from .metrics import optimal_phase_analytic
-from .params import AtomFieldParams, decay_rates
+from .params import AtomFieldParams, _rates, decay_rates
 
 #: hard floor of the variance in this normalisation
 VARIANCE_BOUND = -0.25
@@ -72,21 +71,28 @@ def drive_optima(n_sq, eta, phi, delta, theta=None):
     arrays. Products of L and R overflow from |delta| ~ 1e77, so past
     |delta| = 2^200 all are computed divided by 4^e, with 2^e the binary
     order of delta, an exact scaling; w_min and w_pure overflow to inf
-    past |delta| ~ 1e154.
+    past |delta| ~ 1e154. A zero denominator, as where the theta
+    quadrature sees no coherence (rho = 0), gives IEEE's inf or NaN.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        m, q, gx, _, gz = decay_rates(n_sq, eta, phi)
-        u = delta + m * np.sin(phi)
-        e = np.where(np.abs(delta) > 2.0**200, np.frexp(delta)[1], 0)
-        delta, u, gx_r = (np.ldexp(x, -e) for x in (delta, u, gx))
-        lorentz = np.ldexp(q, -2 * e) + delta * delta
+    xp = carrier(n_sq, eta, phi, delta, *(() if theta is None else (theta,)))
+    with xp.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        m, q, gx, _, gz = _rates(xp, n_sq, eta, phi)
+        u = delta + m * xp.sin(phi)
+        e = xp.where(xp.abs(delta) > 2.0**200, xp.frexp(delta)[1], 0)
+        delta, u, gx_r = (xp.ldexp(x, -e) for x in (delta, u, gx))
+        lorentz = xp.ldexp(q, -2 * e) + delta * delta
         r = u * u + gx_r * gx_r
-        rho = r if theta is None else (u * np.cos(theta) + gx_r * np.sin(theta)) ** 2
+        if theta is None:
+            rho = r
+        else:
+            along = u * xp.cos(theta) + gx_r * xp.sin(theta)
+            rho = along * along
         gl = gx * lorentz
-        w_min = np.ldexp(gz * lorentz * (rho - gl) / (gx * (gl + rho)), 2 * e)
-        s_min = 1.0 - (gl + rho) ** 2 / (4.0 * gl * gz * rho)
-        w_pure = np.ldexp(lorentz * (gz * r - 2.0 * gl) / (gx * r), 2 * e)
-        sigma_max = r * r / (4.0 * gl * (gz * r - gl))
+        w_min = xp.ldexp(xp.divide(gz * lorentz * (rho - gl), gx * (gl + rho)), 2 * e)
+        total = gl + rho
+        s_min = 1.0 - xp.divide(total * total, 4.0 * gl * gz * rho)
+        w_pure = xp.ldexp(xp.divide(lorentz * (gz * r - 2.0 * gl), gx * r), 2 * e)
+        sigma_max = xp.divide(r * r, 4.0 * gl * (gz * r - gl))
     return w_min, s_min, w_pure, sigma_max
 
 
@@ -97,6 +103,8 @@ def _real_roots(coeffs):
     below 1e-100 of the largest moves to the end, which multiplies the
     polynomial by delta: the lost root reads as 0.
     """
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore"):
         c = coeffs / np.max(np.abs(coeffs), axis=-1, keepdims=True)
     c = np.where(np.isfinite(c), c, 0.0)
@@ -125,6 +133,8 @@ def minimize_variance_batch(n_sq, phi, bounds, eta: float = 1.0):
     (omega, delta, value); a candidate whose steady state overflows
     counts as inf, so ``value`` is inf only where every candidate did.
     """
+    import numpy as np
+
     for name, side in zip(("omega", "delta"), bounds):
         check_box_side(name, *side)
     (w_lo, w_hi), (d_lo, d_hi) = bounds
@@ -229,6 +239,8 @@ def certify_n_eighth(
     -0.25 +- tolerance while every N further than 0.02 from 0.125 stays
     above -0.25 + 1e-4.
     """
+    import numpy as np
+
     if not 0.0 < tolerance <= 1e-2:
         raise ValidationError(f"tolerance must lie in (0, 1e-2], got {tolerance}")
     grid = [round(0.02 * k, 10) for k in range(1, 26)]

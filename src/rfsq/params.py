@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._carrier import carrier
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -79,12 +78,17 @@ def decay_rates(n_sq, eta, phi):
     - 1 the quadrature rates are N + 1/2 - M + 2 M cos^2(Phi/2) and
     N + 1/2 - M + 2 M sin^2(Phi/2).
     """
+    return _rates(carrier(n_sq, eta, phi), n_sq, eta, phi)
+
+
+def _rates(xp, n_sq, eta, phi):
+    """``decay_rates`` on the namespace xp (see _carrier)."""
     n_n1 = n_sq * (n_sq + 1.0)
-    m = eta * np.sqrt(n_n1)
+    m = eta * xp.sqrt(n_n1)
     q = (1.0 - eta) * (1.0 + eta) * n_n1 + 0.25
     low = q / (n_sq + 0.5 + m)
-    cos_half = np.cos(0.5 * phi)
-    sin_half = np.sin(0.5 * phi)
+    cos_half = xp.cos(0.5 * phi)
+    sin_half = xp.sin(0.5 * phi)
     gamma_x = low + 2.0 * m * (cos_half * cos_half)
     gamma_y = low + 2.0 * m * (sin_half * sin_half)
     gamma_z = 2.0 * (n_sq + 0.5)

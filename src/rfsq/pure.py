@@ -21,9 +21,9 @@ import math
 import warnings
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .bloch import BlochState, steady_state, steady_state_grid
+from . import backends
+from ._carrier import SCALAR, Scalar
+from .bloch import BlochState, _steady_state
 from .errors import (
     AsymptoticConditionWarning,
     NoPureStateError,
@@ -32,10 +32,33 @@ from .errors import (
 )
 from .metrics import sphere_angles
 from .optimize import drive_optima
-from .params import TWO_PI, AtomFieldParams, decay_rates
+from .params import TWO_PI, AtomFieldParams, _rates, decay_rates
 
 #: phases this close to pi (mod 2 pi) take the large-detuning condition
 OPPOSED_PHASE_TOL = 1e-12
+
+#: sin(k pi/2) for k = 0, 1, 2, 3
+_QUARTER_TURNS = (0.0, 1.0, 0.0, -1.0)
+
+
+class _RightAngles(Scalar):
+    """The scalar namespace with sin and cos taken at the multiple of pi/2
+    nearest their argument. For a phase Phi equal to pi (mod 2 pi) within
+    OPPOSED_PHASE_TOL, this makes cos(Phi/2) and sin Phi exactly 0: at
+    fl(pi), the term 2 M cos^2(Phi/2) ~ 3.7e-33 M of gamma_x would outgrow
+    its exact part 1/(8N) from N ~ 4e15."""
+
+    @staticmethod
+    def sin(x):
+        return _QUARTER_TURNS[round(x / (0.5 * math.pi)) % 4]
+
+    @staticmethod
+    def cos(x):
+        return _QUARTER_TURNS[(round(x / (0.5 * math.pi)) + 1) % 4]
+
+
+#: the namespace of the opposed phase Phi = pi (mod 2 pi)
+OPPOSED = _RightAngles()
 
 
 @dataclass(frozen=True)
@@ -70,8 +93,9 @@ def _require_photons(n_sq: float):
 def _solution(exact: bool, **inputs) -> PureStateSolution:
     """A computed drive with its sphere angles and the purity it reaches.
 
-    The exact state's alpha is also theta_0; the asymptotic one has alpha = 0.
-    Raises NumericalError where the drive overflows.
+    The exact state's alpha is also theta_0; the asymptotic one has alpha = 0,
+    and its purity is that of the state at Phi = pi exactly (see OPPOSED).
+    Raises NumericalError where the drive or the state overflows.
     """
     if not (math.isfinite(inputs["omega"]) and math.isfinite(inputs["delta"])):
         raise NumericalError(
@@ -83,7 +107,8 @@ def _solution(exact: bool, **inputs) -> PureStateSolution:
     return PureStateSolution(
         phi=params.phi, n_sq=params.n_sq, delta=params.delta,
         omega=params.omega, alpha=alpha, beta=beta,
-        sigma_achieved=steady_state(params).sigma, exact=exact,
+        sigma_achieved=_steady_state(SCALAR if exact else OPPOSED, params).sigma,
+        exact=exact,
         theta_0=alpha if exact else None,
     )
 
@@ -113,7 +138,7 @@ def pure_state(n_sq: float, phi: float, eta: float = 1.0) -> PureStateSolution:
             "the pure drive diverges at phi = pi (mod 2 pi); use the "
             "large-detuning condition, which needs a detuning"
         )
-    m = math.sqrt(n_sq * (n_sq + 1.0))  # M at eta = 1; inf, not a warning, on overflow
+    m = decay_rates(n_sq, 1.0, 0.0)[0]  # inf, not a warning, on overflow
     half = 0.5 * phi
     return _solution(
         True, n_sq=n_sq, eta=eta, phi=phi,
@@ -132,16 +157,16 @@ def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0,
     improves as delta grows past Gamma - gM. Warns when delta is below ten
     times that margin, and raises NumericalError where the drive overflows.
     alpha = 0 is the asymptotic longitude. ``phi`` may be any phase equal
-    to pi modulo 2 pi; the solution reports it.
+    to pi modulo 2 pi; the solution reports it, and its purity is that at
+    Phi = pi exactly.
     """
     _require_photons(n_sq)
     if delta <= 0.0:
         raise ValidationError(f"delta must be positive, got {delta}")
     if not is_opposed_phase(phi):
         raise ValidationError(f"phi must equal pi modulo 2 pi, got {phi}")
-    with np.errstate(all="ignore"):  # an overflowed M is caught with the drive
-        m, q, *_ = decay_rates(n_sq, eta, 0.0)
-    margin = q / (n_sq + 0.5 + m)  # Gamma - gM without cancellation
+    # Gamma - gM is gamma_x at Phi = pi; an overflowed M is caught with the drive
+    m, _, margin, _, _ = _rates(OPPOSED, n_sq, eta, phi)
     if delta < 10.0 * margin:
         warnings.warn(
             f"delta = {delta:g} is below 10 * (Gamma - gM) = {10.0 * margin:g}; "
@@ -162,8 +187,8 @@ def sz_plus_half_grid(n_sq, phi, omega, delta):
     Vanishing at the maximal-squeezing drive, where <sz> = -1/2.
     """
     gamma_x = decay_rates(n_sq, 1.0, phi)[2]
-    drive = gamma_x * omega**2  # N + 1/2 + M cosPhi = gamma_x
-    lorentz = delta**2 + 0.25
+    drive = gamma_x * (omega * omega)  # N + 1/2 + M cosPhi = gamma_x
+    lorentz = delta * delta + 0.25
     num = drive + (2.0 * n_sq - 1.0) * lorentz
     den = 2.0 * (drive + lorentz * (2.0 * n_sq + 1.0))
     return num / den
@@ -190,8 +215,8 @@ def find_pure_curve(
     _, _, w_pure, sigma = drive_optima(n_sq, eta, phi, delta)
     omega = math.sqrt(w_pure) if w_pure > 0.0 else 0.0  # also when NaN
     if omega < math.inf:
-        with np.errstate(all="ignore"):
-            sigma = BlochState(*steady_state_grid(n_sq, eta, phi, omega, delta)).sigma
+        sigma = BlochState(*backends._steady(
+            SCALAR, *(float(x) for x in (n_sq, eta, phi, omega, delta)))).sigma
     sigma = float(sigma)
     if sigma < 1.0 - 1e-4:
         raise NoPureStateError(

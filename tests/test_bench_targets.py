@@ -11,6 +11,9 @@ imports no rfsq).
 import importlib
 import importlib.util
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +53,42 @@ def test_every_traced_function_resolves(tracing):
     for module_name, attr, _ in tracing.TARGETS:
         module = importlib.import_module(f"rfsq.{module_name}")
         assert callable(getattr(module, attr, None)), f"rfsq.{module_name}.{attr}"
+
+
+def test_traced_commands_count_their_spans():
+    # the benchmark's --trace 1 run: tracing.install, then cli.main on each
+    # point kind and a 16 x 16 scan; a span count that cannot be computed
+    # (a float result has no .size) raises out of the traced call
+    script = """
+import contextlib, io, sys
+import numpy as np
+import tracing, workloads
+tracer = tracing.Tracer()
+cli = tracing.install(tracer)
+rng = np.random.default_rng(0)
+# each operation binds (kind, argv, check, params) as its defaults
+runs = [op.__defaults__[1] for _, op in workloads.point_ops(rng, 0, workloads.POINT_KINDS)]
+runs += [op.__defaults__[1] for _, op in workloads.point_ops(rng, 1, ("pure-solve",))]
+runs.append(workloads.scan_argv(workloads.draw_scan(rng, "drive", 0, 16, 16)))
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+counts = {}
+for name, _, _, _, count in tracer.spans:
+    counts.setdefault(name, []).append(count)
+# array calls alone: optimize's box candidates, then the scan's 256 nodes;
+# the other point commands evaluate their states on Python floats
+for name in ("backends.steady_grid", "bloch.steady_state_grid"):
+    assert len(counts[name]) == 2 and counts[name][1] == 256, counts
+    assert all(type(c) is int and c > 0 for c in counts[name]), counts
+print(sorted(counts))
+"""
+    src = BENCH.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(src), str(BENCH)))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "pure.find_pure_curve" in proc.stdout
 
 
 def test_parameter_validation_is_a_method():

@@ -551,41 +551,57 @@ def test_closed_stdout_exits_quietly():
     assert "Traceback" not in err and err == ""
 
 
-def test_commands_do_not_import_scipy():
-    script = (
-        "import sys\n"
-        "from rfsq.cli import main\n"
-        "runs = [['report', '--n', '0.2', '--omega', '1'],\n"
-        "        ['optimize', '--n', '0.125', '--phi', '0.5pi',\n"
-        "         '--box', 'omega:0:3,delta:0:2'],\n"
-        "        ['pure', '--n', '0.125', '--phi', '0.5pi', '--delta', '0.25',\n"
-        "         '--solve-omega'],\n"
-        "        ['crossover'], ['verify', '--fast']]\n"
-        "codes = [main(argv) for argv in runs]\n"
-        "assert codes == [0] * len(runs), codes\n"
-        "assert 'scipy' not in sys.modules\n"
-    )
+#: cold commands by whether they import numpy: the point commands, --help,
+#: --version and a validation error do not; array work does
+COLD_COMMANDS = [
+    (["report", "--n", "0.2", "--omega", "1"], False),
+    (["steady", "--n", "0.2", "--omega", "1"], False),
+    (["pure", "--n", "0.125", "--phi", "0.5pi"], False),
+    (["pure", "--n", "0.125", "--phi", "pi", "--delta", "1"], False),
+    (["pure", "--n", "0.125", "--phi", "0.5pi", "--delta", "0.25", "--solve-omega"],
+     False),
+    (["crossover"], False),
+    (["--help"], False),
+    (["--version"], False),
+    (["report", "--n", "nan"], False),
+    (["optimize", "--n", "0.125", "--phi", "0.5pi", "--box", "omega:0:3,delta:0:2"],
+     True),
+    (["scan", "--metric", "s_x", "--axis1", "omega:0:3:4"], True),
+    (["figure", "4"], True),
+    (["verify", "--fast"], True),
+    (["report", "--n", "0.2", "--omega", "1", "--format", "csv"], True),
+]
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    # each a cold `python -m rfsq.cli` process, whose imports -X importtime lists
     src = Path(rfsq.optimize.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for argv, loads_numpy in COLD_COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "rfsq.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert proc.returncode == (1 if "nan" in argv else 0), (argv, proc.stderr)
+        assert ("numpy" in imported) is loads_numpy, argv
+        assert "scipy" not in imported, argv
 
 
 def test_the_csv_codec_loads_only_for_csv(tmp_path):
-    # import rfsq and a point command leave the codec unloaded; a CSV read
-    # loads the reader and the encoder whose powers of ten it shares
+    # import rfsq and a point command leave the codec and numpy unloaded; a
+    # CSV read loads the reader and the encoder whose powers of ten it shares
     script = (
         "import sys\n"
         "import rfsq\n"
-        "codec = {'rfsq._encoder', 'rfsq._decoder'}\n"
-        "assert not codec & set(sys.modules)\n"
+        "lazy = {'rfsq._encoder', 'rfsq._decoder', 'numpy'}\n"
+        "assert not lazy & set(sys.modules)\n"
         "from rfsq.cli import main\n"
         "assert main(['report', '--n', '0.2', '--omega', '1']) == 0\n"
-        "assert not codec & set(sys.modules)\n"
+        "assert not lazy & set(sys.modules)\n"
         "from rfsq.io import read_csv\n"
         "read_csv(sys.argv[1])\n"
-        "assert codec <= set(sys.modules)\n"
+        "assert lazy <= set(sys.modules)\n"
     )
     path = tmp_path / "x.csv"
     path.write_text("# rfsq-csv v1\na\n1\n")

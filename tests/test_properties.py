@@ -6,15 +6,20 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from rfsq import backends, metrics  # noqa: E402
+from rfsq._carrier import SCALAR  # noqa: E402
 from rfsq.bloch import (  # noqa: E402
-    routh_hurwitz_margins, steady_state, system_grid)
+    BlochState, routh_hurwitz_margins, steady_state, system_grid)
+from rfsq.errors import NumericalError  # noqa: E402
 from rfsq.io import read_csv, write_csv  # noqa: E402
 from rfsq.metrics import (  # noqa: E402
-    optimal_phase_analytic, optimal_variance, pure_state_variance)
-from rfsq.optimize import VARIANCE_BOUND, minimize_variance_batch  # noqa: E402
-from rfsq.params import AtomFieldParams  # noqa: E402
+    input_vacuum_variance, optimal_phase_analytic, optimal_variance,
+    pure_state_variance, variance_theta_xyz)
+from rfsq.optimize import (  # noqa: E402
+    VARIANCE_BOUND, drive_optima, minimize_variance_batch)
+from rfsq.params import AtomFieldParams, decay_rates  # noqa: E402
 from rfsq.pure import pure_state  # noqa: E402
 
 from search_oracle import grid_minimum, scalar_search  # noqa: E402
@@ -110,6 +115,60 @@ def test_purity_and_variance_respect_their_bounds(params):
 def test_bloch_matrix_is_hurwitz(params):
     margins = routh_hurwitz_margins(system_grid(**params.inputs()))
     assert all(margin > 0.0 for margin in margins)
+
+
+def _same_bits(scalar, array) -> bool:
+    """A Python float and a numpy value are one double, or both NaN."""
+    if type(scalar) is not float:
+        return False
+    if math.isnan(scalar):
+        return bool(np.isnan(array))
+    return np.float64(scalar).view(np.int64) == np.float64(array).view(np.int64)
+
+
+def _agree(scalar_results, array_results):
+    for scalar, array in zip(scalar_results, array_results, strict=True):
+        assert _same_bits(scalar, array), (scalar, array)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(n_sq=st.floats(1e-6, 1e3), eta=st.floats(0.0, 1.0),
+       phi=st.floats(-1e300, 1e300), omega=st.floats(0.0, 1e300),
+       delta=st.floats(-1e300, 1e300), theta=st.floats(-1e300, 1e300))
+# no coherence along theta: drive_optima divides by rho = 0
+@example(n_sq=0.125, eta=1.0, phi=0.0, omega=0.0, delta=0.0, theta=0.0)
+# both scalings, and omega^2 overflowing
+@example(n_sq=1e-6, eta=0.0, phi=1e300, omega=1e300, delta=-1e300, theta=1e3)
+def test_the_scalar_carrier_gives_the_numpy_bits(n_sq, eta, phi, omega, delta,
+                                                 theta):
+    # Python floats take the math shim, 0-d arrays numpy (see rfsq._carrier)
+    floats = (n_sq, eta, phi, omega, delta)
+    arrays = tuple(np.asarray(x) for x in floats)
+    with np.errstate(all="ignore"):
+        _agree(decay_rates(n_sq, eta, phi), decay_rates(*arrays[:3]))
+        grid = backends.steady_grid(*floats)
+        _agree(backends._steady(SCALAR, *floats), grid)
+        _agree(metrics._longitude(n_sq, eta, phi, delta),
+               metrics._longitude(*arrays[:3], arrays[4]))
+        for quadrature in (None, theta):
+            _agree(drive_optima(n_sq, eta, phi, delta, quadrature),
+                   drive_optima(*arrays[:3], arrays[4],
+                                None if quadrature is None else np.asarray(quadrature)))
+        _agree([pure_state_variance(n_sq, eta), input_vacuum_variance(n_sq, eta)],
+               [pure_state_variance(arrays[0], arrays[1]),
+                input_vacuum_variance(arrays[0], arrays[1])])
+        params = AtomFieldParams(*floats)
+        if not np.all(np.isfinite(grid)):
+            with pytest.raises(NumericalError):
+                steady_state(params)
+            return
+        state = steady_state(params)
+        _agree((state.sx, state.sy, state.sz), grid)
+        on_arrays = BlochState(*(np.asarray(x) for x in grid))
+        _agree([variance_theta_xyz(state.sx, state.sy, state.sz, theta),
+                state.sigma, optimal_variance(state)],
+               [variance_theta_xyz(*grid, np.asarray(theta)),
+                on_arrays.sigma, optimal_variance(on_arrays)])
 
 
 def _from_bits(bits: int) -> float:

@@ -156,6 +156,26 @@ class TestConditionOpposedPhase:
         assert sigmas[0] == pytest.approx(1.0, abs=2e-3)
         assert sigmas[2] == pytest.approx(1.0, abs=2e-7)
 
+    @pytest.mark.parametrize("n_sq", [1e12, 1e14, 1e16])
+    @pytest.mark.parametrize("phi", [math.pi, -math.pi, 3.0 * math.pi])
+    def test_purity_is_that_at_the_exact_opposed_phase(self, n_sq, phi):
+        # at fl(pi), 2 M cos^2(Phi/2) ~ 3.7e-33 M in gamma_x reaches its exact
+        # part 1/(8N) near N = 4e15: it moved Sigma to 0.29 at N = 1e16
+        mp = pytest.importorskip("mpmath")
+        sol = condition_phi_pi(n_sq, 1.0, phi=phi)
+        with mp.workdps(60):
+            n, half = mp.mpf(n_sq), mp.mpf(1) / 2
+            m = mp.sqrt(n * (n + 1))
+            omega, delta = mp.mpf(sol.omega), mp.mpf(1)
+            a = mp.matrix([[-(n + half - m), -delta, 0],
+                           [delta, -(n + half + m), -omega],
+                           [0, omega, -2 * (n + half)]])
+            s = mp.lu_solve(a, mp.matrix([0, 0, 1]))
+            sigma = float(s[0] ** 2 + s[1] ** 2 + s[2] ** 2)
+        assert sol.sigma_achieved == pytest.approx(sigma, rel=1e-14)
+        # the large-N limit (8 delta^2 / (1 + 8 delta^2))^2, with sx -> -8/9
+        assert sol.sigma_achieved == pytest.approx(64.0 / 81.0, rel=1e-9)
+
     def test_warns_below_the_asymptotic_margin(self):
         with pytest.warns(AsymptoticConditionWarning):
             condition_phi_pi(0.125, 2.0)
