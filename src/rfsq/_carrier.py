@@ -31,6 +31,7 @@ def carrier(*values):
 class Scalar:
     """The numpy functions the closed forms use, for Python floats."""
 
+    inf = math.inf
     sin = staticmethod(math.sin)
     cos = staticmethod(math.cos)
     sqrt = staticmethod(math.sqrt)

@@ -1,8 +1,8 @@
 """Closed-form steady state and RK4 relaxation kernels.
 
-Two operations dominate runtime: evaluating the steady Bloch vector,
-from one point to large parameter grids, and iterating the fixed-step
-integrator map until a trajectory relaxes.
+The closed form is what every command evaluates, from one point to
+large parameter grids; relaxation under the fixed-step integrator map is
+the independent time-domain oracle of the tests and ``rfsq verify``.
 
 Steady state: the solution of ``A s + b = 0`` is written out in closed
 form (adjugate solution of the 3x3 system), which is exact for the Bloch
@@ -18,17 +18,16 @@ with ``E`` the degree-4 Taylor polynomial of ``expm(h A)``. Its fixed
 point is exactly the steady state, so relaxation accuracy is limited
 only by how long the map is iterated, never by the step size. The map
 and the relaxation loop work on a stack of P systems at once, each with
-its own step, stopping residual and step cap: one Python loop iterates
-every point that is still active, and a pre-composed 16-step block of
-each point's map amortises it further.
+its own step, stopping residual and step cap. The loop squares the map
+on each pass, so a point relaxed over n steps costs about log2(n) passes.
 """
 
 from __future__ import annotations
 
 from .params import _rates
 
-#: burst length between residual checks during relaxation
-CHECK_STRIDE = 16
+#: instability sentinel: no physical Bloch component can approach this
+BLOW_LIMIT = 10.0
 
 
 def steady_grid(n_sq, eta, phi, omega, delta):
@@ -49,9 +48,10 @@ def _steady(xp, n_sq, eta, phi, omega, delta):
     L = q + delta^2 overflows from |delta| ~ 1.3e154, so past |delta| =
     2^500 delta, omega and u are divided by 2^e, with 2^e the binary
     order of delta, and q by 4^e: an exact scaling that leaves every
-    other node's bits alone. When omega^2 overflows even so, the state is
-    the strong-drive limit (0, 0, 0). No denominator can be zero: L >= 1/4,
-    gamma_z >= 1 and gamma_x > 0.
+    other node's bits alone. Where the drive term omega^2 gamma_x / L
+    overflows even so, sz and sy are divided through by omega^2 rather
+    than L. No denominator can be zero: L >= 1/4, gamma_z >= 1 and
+    gamma_x > 0.
     """
     m, q, gx, _, gz = _rates(xp, n_sq, eta, phi)
     u = delta + m * xp.sin(phi)
@@ -69,6 +69,15 @@ def _steady(xp, n_sq, eta, phi, omega, delta):
     gx_l = gx / lorentz
     sz = -1.0 / (gz + omega * omega * gx_l)
     sy = -omega * gx_l * sz
+    # gx / L < 4 gz, so the drive term is finite unless omega^2 gz > 2^1021;
+    # where it overflows, divide through by omega^2 instead
+    with xp.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if xp.any(omega * omega * gz > 2.0**1021):
+            strong = omega * omega * gx_l == xp.inf
+            k = lorentz / omega / omega
+            den = gz * k + gx
+            sz = xp.where(strong, -k / den, sz)
+            sy = xp.where(strong, gx / omega / den, sy)
     sx = -u * sy / gx
     if scaled:
         sy = xp.ldexp(sy, -e)  # sx is invariant: u sy scales by 2^e 2^-e
@@ -102,52 +111,37 @@ def rk4_affine_map(a, b, h):
     return e, c
 
 
-def relax(e, c, a, b, s0, stop_resid, max_steps, blow=10.0):
+def relax(e, c, a, b, s0, stop_resid, max_steps):
     """Iterate P stacked RK4 one-step maps until each residual drops below target.
 
     e, a are (P, 3, 3), c, b are (P, 3); s0 is (P, 3) or one (3,) start
     for every point; stop_resid and max_steps are scalars or (P,). Each
-    point stops on its own, once its residual (the max-norm of
-    ``a @ state + b``) is at most its stop_resid or its step count reaches
-    max_steps; only the points still active are iterated. Returns
-    (states (P, 3), residuals (P,), steps (P,)); a residual of inf flags
-    a point whose state passed the blow-up sentinel.
+    pass advances the active points by the current map, then squares it,
+    (E, c) -> (E E, E c + c), so a point is checked after 1, 3, 7, ...,
+    2^k - 1 steps. It stops at its first check where its residual (the
+    max-norm of ``a @ state + b``) is at most its stop_resid, its step
+    count reaches max_steps, or its state is not finite or passed
+    BLOW_LIMIT (residual inf); a finished point stays frozen. Returns
+    (states (P, 3), residuals (P,), steps (P,)).
     """
     import numpy as np
 
-    # pre-compose CHECK_STRIDE steps of each map: (E, c) -> (E^k, sum E^j c)
-    eb, cb = e, c
-    strides = CHECK_STRIDE.bit_length() - 1  # CHECK_STRIDE is a power of two
-    for _ in range(strides):
-        cb = _mv(eb, cb) + cb
-        eb = eb @ eb
-    count = len(eb)
-    states = np.array(np.broadcast_to(s0, (count, 3)), dtype=float)
-    stop = np.broadcast_to(np.asarray(stop_resid, dtype=float), (count,))
-    cap = np.broadcast_to(np.asarray(max_steps), (count,))
-    steps = np.zeros(count, dtype=np.int64)
+    states = np.array(np.broadcast_to(s0, c.shape), dtype=float)
     resid = np.abs(_mv(a, states) + b).max(axis=-1)
-
-    # the active points, compacted whenever some finish; every one of them
-    # has taken the same number of steps
-    idx = np.flatnonzero((resid > stop) & (cap > 0))
-    ebw, cbw, aw, bw, sw = eb[idx], cb[idx], a[idx], b[idx], states[idx]
-    stopw, capw = stop[idx], cap[idx]
+    steps = np.zeros(len(c), dtype=np.int64)
+    active = (resid > stop_resid) & (max_steps > 0)
     taken = 0
-    while idx.size:
-        sw = _mv(ebw, sw) + cbw
-        taken += CHECK_STRIDE
-        blown = np.abs(sw).max(axis=-1) > blow
-        rw = np.abs(_mv(aw, sw) + bw).max(axis=-1)
-        rw[blown] = np.inf
-        done = blown | ~(rw > stopw) | (taken >= capw)
-        if done.any():
-            fin = idx[done]
-            states[fin] = sw[done]
-            resid[fin] = rw[done]
-            steps[fin] = taken
-            keep = ~done
-            idx, ebw, cbw, aw, bw, sw = (
-                x[keep] for x in (idx, ebw, cbw, aw, bw, sw))
-            stopw, capw = stopw[keep], capw[keep]
+    # an unstable map overflows as it is squared: its point is flagged inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active.any():
+            taken = 2 * taken + 1
+            moved = _mv(e, states) + c
+            blown = ~(np.abs(moved).max(axis=-1) <= BLOW_LIMIT)
+            r = np.where(blown, np.inf, np.abs(_mv(a, moved) + b).max(axis=-1))
+            states = np.where(active[:, None], moved, states)
+            resid = np.where(active, r, resid)
+            steps[active] = taken
+            active &= ~blown & (r > stop_resid) & (taken < max_steps)
+            c = _mv(e, c) + c
+            e = e @ e
     return states, resid, steps

@@ -76,24 +76,35 @@ def drive_optima(n_sq, eta, phi, delta, theta=None):
     """
     xp = carrier(n_sq, eta, phi, delta, *(() if theta is None else (theta,)))
     with xp.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m, q, gx, _, gz = _rates(xp, n_sq, eta, phi)
-        u = delta + m * xp.sin(phi)
-        e = xp.where(xp.abs(delta) > 2.0**200, xp.frexp(delta)[1], 0)
-        delta, u, gx_r = (xp.ldexp(x, -e) for x in (delta, u, gx))
-        lorentz = xp.ldexp(q, -2 * e) + delta * delta
-        r = u * u + gx_r * gx_r
-        if theta is None:
-            rho = r
-        else:
-            along = u * xp.cos(theta) + gx_r * xp.sin(theta)
-            rho = along * along
-        gl = gx * lorentz
-        w_min = xp.ldexp(xp.divide(gz * lorentz * (rho - gl), gx * (gl + rho)), 2 * e)
-        total = gl + rho
-        s_min = 1.0 - xp.divide(total * total, 4.0 * gl * gz * rho)
-        w_pure = xp.ldexp(xp.divide(lorentz * (gz * r - 2.0 * gl), gx * r), 2 * e)
-        sigma_max = xp.divide(r * r, 4.0 * gl * (gz * r - gl))
-    return w_min, s_min, w_pure, sigma_max
+        e, w_min, s_min, w_pure, sigma_max = _scaled_optima(
+            xp, n_sq, eta, phi, delta, theta)
+        return xp.ldexp(w_min, 2 * e), s_min, xp.ldexp(w_pure, 2 * e), sigma_max
+
+
+def _scaled_optima(xp, n_sq, eta, phi, delta, theta=None):
+    """``drive_optima`` on the namespace xp, with w_min and w_pure divided
+    by 4^e: returns (e, w_min / 4^e, s_min, w_pure / 4^e, sigma_max), with
+    2^e the binary order of delta past 2^200, else e = 0. The drive
+    sqrt(w) = 2^e sqrt(w / 4^e) is finite where w itself overflows.
+    """
+    m, q, gx, _, gz = _rates(xp, n_sq, eta, phi)
+    u = delta + m * xp.sin(phi)
+    e = xp.where(xp.abs(delta) > 2.0**200, xp.frexp(delta)[1], 0)
+    delta, u, gx_r = (xp.ldexp(x, -e) for x in (delta, u, gx))
+    lorentz = xp.ldexp(q, -2 * e) + delta * delta
+    r = u * u + gx_r * gx_r
+    if theta is None:
+        rho = r
+    else:
+        along = u * xp.cos(theta) + gx_r * xp.sin(theta)
+        rho = along * along
+    gl = gx * lorentz
+    w_min = xp.divide(gz * lorentz * (rho - gl), gx * (gl + rho))
+    total = gl + rho
+    s_min = 1.0 - xp.divide(total * total, 4.0 * gl * gz * rho)
+    w_pure = xp.divide(lorentz * (gz * r - 2.0 * gl), gx * r)
+    sigma_max = xp.divide(r * r, 4.0 * gl * (gz * r - gl))
+    return e, w_min, s_min, w_pure, sigma_max
 
 
 def _real_roots(coeffs):

@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import sphere_angles
-from .optimize import drive_optima
+from .optimize import _scaled_optima
 from .params import TWO_PI, AtomFieldParams, _rates, decay_rates
 
 #: phases this close to pi (mod 2 pi) take the large-detuning condition
@@ -203,21 +203,23 @@ def find_pure_curve(
     """Drive strength maximising purity on a fixed (phi, N, delta) slice.
 
     omega = sqrt(w_pure) from the closed form of ``drive_optima``, or 0
-    when w_pure is negative; Sigma is evaluated there with the
-    steady-state kernel, or, where w_pure overflows to inf (past
-    |delta| ~ 1e154), it is the closed form's finite sigma_max. Returns
-    (omega, sigma_max); raises NoPureStateError when the slice never
-    comes within 1e-4 of purity, and NumericalError when the steady
-    state, or the drive w_pure = omega^2 of a near-pure slice, overflows.
+    when w_pure is negative; it is taken as 2^e sqrt(w_pure / 4^e), so it
+    stays finite where w_pure = omega^2 overflows (past |delta| ~ 1e154).
+    Sigma is evaluated there with the steady-state kernel, or, where omega
+    overflows too (past |delta| ~ 8e307), it is the closed form's finite
+    sigma_max. Returns (omega, sigma_max); raises NoPureStateError when
+    the slice never comes within 1e-4 of purity, and NumericalError when
+    the steady state, or the drive omega of a near-pure slice, overflows.
     Points with sigma_max >= 1 - 1e-7 count as pure.
     """
     _require_photons(n_sq)
-    _, _, w_pure, sigma = drive_optima(n_sq, eta, phi, delta)
-    omega = math.sqrt(w_pure) if w_pure > 0.0 else 0.0  # also when NaN
+    n_sq, eta, phi, delta = (float(x) for x in (n_sq, eta, phi, delta))
+    e, _, _, w_pure, sigma = _scaled_optima(SCALAR, n_sq, eta, phi, delta)
+    # also 0 when NaN
+    omega = SCALAR.ldexp(math.sqrt(w_pure), e) if w_pure > 0.0 else 0.0
     if omega < math.inf:
         sigma = BlochState(*backends._steady(
-            SCALAR, *(float(x) for x in (n_sq, eta, phi, omega, delta)))).sigma
-    sigma = float(sigma)
+            SCALAR, n_sq, eta, phi, omega, delta)).sigma
     if sigma < 1.0 - 1e-4:
         raise NoPureStateError(
             f"no pure state on this slice; best Sigma = {sigma:.6f}",
@@ -225,8 +227,7 @@ def find_pure_curve(
         )
     if omega == math.inf:
         raise NumericalError(
-            f"the purest drive overflows at delta = {delta!r} "
-            f"(w_pure = omega^2 = inf)")
+            f"the purest drive overflows at delta = {delta!r} (omega = inf)")
     if not math.isfinite(sigma):
         raise NumericalError(
             f"the steady state overflows at delta = {delta!r}, omega = {omega!r}")

@@ -9,7 +9,7 @@ from rfsq import AtomFieldParams, steady_state
 from rfsq.backends import relax, rk4_affine_map, steady_grid
 from rfsq.params import decay_rates
 
-from steady_oracle import solve_steady
+from steady_oracle import cramer_steady, solve_steady
 
 
 def test_closed_form_matches_oracle_over_extreme_domain():
@@ -55,17 +55,33 @@ def test_rk4_map_equals_textbook_step():
 
 
 def test_relax_stops_each_point_on_its_own():
-    # ds/dt = -s + (0, 0, -1); RK4 is unstable at h = 5, so only the middle
-    # point passes the blow-up sentinel, in its first 16-step block
+    # ds/dt = -s + (0, 0, -1); RK4 is unstable at h = 5, so the middle
+    # point passes the blow-up sentinel at its first check, after one step;
+    # the others are checked after 1, 3, 7, ..., 2^k - 1 steps
     a = np.array([-np.eye(3)] * 3)
     b = np.array([[0.0, 0.0, -1.0]] * 3)
     h = np.array([0.1, 5.0, 0.2])
     e, c = rk4_affine_map(a, b, h)
     states, resid, steps = relax(e, c, a, b, np.zeros(3), 1e-12, 10**6)
-    assert np.isinf(resid[1]) and steps[1] == 16
+    assert np.isinf(resid[1]) and steps[1] == 1
     assert resid[[0, 2]].max() <= 1e-12
     assert np.allclose(states[[0, 2]], [0.0, 0.0, -1.0], atol=1e-12)
-    assert steps[0] > steps[2] > 16  # the longer step converges sooner
+    assert all(math.log2(n + 1).is_integer() for n in steps)
+    assert steps[0] > steps[2] > 1  # the longer step converges sooner
+
+
+@pytest.mark.filterwarnings("error")
+def test_relax_flags_a_state_that_overflows_as_infinite():
+    # ds/dt = +s is unstable; from a subnormal start the 512-step map
+    # (4.07^512) overflows while the state is still far inside the ball,
+    # so the state turns inf and NaN: its residual is inf, never NaN
+    a = np.eye(3)[None]
+    b = np.zeros((1, 3))
+    e, c = rk4_affine_map(a, b, 1.42)
+    states, resid, steps = relax(e, c, a, b, np.array([5e-324, 0.0, 0.0]),
+                                 0.0, 10**6)
+    assert not np.all(np.isfinite(states)) and resid[0] == np.inf
+    assert steps[0] == 1023
 
 
 def test_closed_form_is_polymorphic():
@@ -82,18 +98,20 @@ def test_overflow_gives_the_limit_or_the_exact_state():
     with np.errstate(all="ignore"):
         # delta^2 overflows at omega = 0: the undriven state, exactly
         undriven = steady_grid(0.2, 1.0, math.pi, 0.0, 1e200)
-        # omega^2 overflows alone: the strong-drive limit (0, 0, 0)
-        saturated = steady_grid(0.2, 1.0, math.pi, 1e200, 0.0)
-        # both square overflow: scaled by the order of delta, the state
-        # (it was NaN, and before that a finite sz = -0.714)
-        both = steady_grid(0.2, 1.0, math.pi, 2e200, 1e200)
     assert undriven[:2] == (0.0, 0.0)
     assert undriven[2] == -1.0 / (2.0 * 0.2 + 1.0)
-    assert [abs(x) for x in saturated] == [0.0, 0.0, 0.0]
-    with mp.workdps(50):
-        want = _mpmath_steady_cramer(AtomFieldParams(
-            n_sq=0.2, phi=math.pi, omega=2e200, delta=1e200), mp)
-    assert np.all(np.abs(np.array(both) - want) <= 2e-15 * np.abs(want))
+    # omega^2 overflows alone: divided through by omega^2, the state (it
+    # was the strong-drive limit (0, 0, 0), where sy = 1e-200); both
+    # squares overflow: scaled by the order of delta, the state (it was
+    # NaN, and before that a finite sz = -0.714)
+    for omega, delta in ((1e200, 0.0), (2e200, 1e200)):
+        with np.errstate(all="ignore"):
+            got = np.array(steady_grid(0.2, 1.0, math.pi, omega, delta))
+        with mp.workdps(50):
+            want = cramer_steady(AtomFieldParams(
+                n_sq=0.2, phi=math.pi, omega=omega, delta=delta), mp)
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+        assert got[1] != 0.0
 
 
 def _mpmath_steady(params, mp):
@@ -111,31 +129,6 @@ def _mpmath_steady(params, mp):
     ])
     s = mp.lu_solve(a, mp.matrix([0, 0, 1]))
     return np.array([float(s[i]) for i in range(3)])
-
-
-def _mpmath_steady_cramer(params, mp):
-    """The 50-digit state of _mpmath_steady by Cramer's rule, which takes
-    any magnitude: mpmath's LU solve calls a system with entries near
-    1e200 singular."""
-    n, eta, phi, omega, delta = (mp.mpf(float(x)) for x in (
-        params.n_sq, params.eta, params.phi, params.omega, params.delta))
-    half = mp.mpf(1) / 2
-    m = eta * mp.sqrt(n * (n + 1))
-    a = [[-(n + half + m * mp.cos(phi)), -(delta + m * mp.sin(phi)), 0],
-         [delta - m * mp.sin(phi), -(n + half - m * mp.cos(phi)), -omega],
-         [0, omega, -2 * (n + half)]]
-
-    def det(rows):
-        return (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-                - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-
-    rhs = [0, 0, 1]
-    full = det(a)
-    return np.array([
-        float(det([[rhs[r] if c == i else a[r][c] for c in range(3)]
-                   for r in range(3)]) / full)
-        for i in range(3)])
 
 
 def test_closed_form_is_accurate_against_fifty_digits():
@@ -175,7 +168,7 @@ def test_detuning_past_the_square_overflow_is_accurate():
         found = AtomFieldParams(n_sq=0.2, phi=math.pi, delta=1.4e154,
                                 omega=1.3e154)
         assert steady_state(found).sz == -0.6324472954115011
-        assert _mpmath_steady_cramer(found, mp)[2] == -0.6324472954115011
+        assert cramer_steady(found, mp)[2] == -0.6324472954115011
         rng = np.random.default_rng(73)
         worst = 0.0
         for _ in range(200):
@@ -189,7 +182,7 @@ def test_detuning_past_the_square_overflow_is_accurate():
                 delta=delta,
             )
             got = steady_state(params).as_array()
-            want = _mpmath_steady_cramer(params, mp)
+            want = cramer_steady(params, mp)
             worst = max(worst, (np.abs(got - want) / np.abs(want)).max())
     assert worst <= 2e-15
 

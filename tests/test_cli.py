@@ -256,9 +256,9 @@ def test_pure_reduces_the_phase_modulo_two_pi(capsys, phi, expected, extra):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
-    # the Phi = pi drive overflows, and the purest drive's square
+    # the Phi = pi drive overflows, and the purest drive
     ("pure", "--n", "0.2", "--phi", "pi", "--delta", "1e308"),
-    ("pure", "--n", "0.2", "--phi", "pi", "--delta", "1e160", "--solve-omega"),
+    ("pure", "--n", "0.2", "--phi", "pi", "--delta", "1e308", "--solve-omega"),
     ("pure", "--n", "0.2", "--phi", "2", "--delta", "1e100", "--solve-omega"),
     # N (N + 1) overflows: the state, the drive, and the rates of every box
     # candidate
@@ -361,13 +361,27 @@ def test_squares_past_the_float_range_give_the_state(capsys):
 
 
 def test_overflowing_purest_drive_names_the_drive(capsys):
-    # the slice is near pure, but w_pure = omega^2 overflows; the steady
-    # state was blamed
+    # the slice is near pure, but the drive 2^e sqrt(w_pure / 4^e) overflows
     code, out, err = run(capsys, "pure", "--n", "0.2", "--phi", "pi",
-                         "--delta", "1e160", "--solve-omega")
+                         "--delta", "1e308", "--solve-omega")
     assert (code, out) == (2, "")
     assert err == ("error: Numerical: the purest drive overflows at "
-                   "delta = 1e+160 (w_pure = omega^2 = inf)\n")
+                   "delta = 1e+308 (omega = inf)\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta, omega", [
+    ("1e160", 2.1594972822203686e160), ("1e300", 2.159497282220369e300)])
+def test_purest_drive_past_its_square_overflow_is_printed(capsys, delta, omega):
+    # w_pure = omega^2 overflows from |delta| ~ 1e154, the drive does not:
+    # it exited 2 with "the purest drive overflows"
+    code, out, err = run(capsys, "pure", "--n", "0.2", "--phi", "pi",
+                         "--delta", delta, "--solve-omega")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["omega"] == omega
+    assert payload["pure"] is True
+    assert payload["sigma"] == 1.0000000000000002
 
 
 def test_warning_is_one_line(capsys):

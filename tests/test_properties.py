@@ -23,6 +23,7 @@ from rfsq.params import AtomFieldParams, decay_rates  # noqa: E402
 from rfsq.pure import pure_state  # noqa: E402
 
 from search_oracle import grid_minimum, scalar_search  # noqa: E402
+from steady_oracle import cramer_steady  # noqa: E402
 
 #: the same examples on every run, and no example database on disk
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -169,6 +170,26 @@ def test_the_scalar_carrier_gives_the_numpy_bits(n_sq, eta, phi, omega, delta,
                 state.sigma, optimal_variance(state)],
                [variance_theta_xyz(*grid, np.asarray(theta)),
                 on_arrays.sigma, optimal_variance(on_arrays)])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(n_sq=st.floats(1e-6, 1e3), eta=st.floats(0.0, 1.0),
+       phi=st.floats(-1e300, 1e300), omega=st.floats(0.0, 1e300),
+       delta=st.floats(-1e300, 1e300))
+# the drive term omega^2 gamma_x / L overflows: sz and sy were -0 and 0
+@example(n_sq=0.2, eta=1.0, phi=0.0, omega=2e154, delta=3e150)
+@example(n_sq=1e3, eta=1.0, phi=0.0, omega=1e153, delta=0.0)
+def test_steady_state_matches_fifty_digits(n_sq, eta, phi, omega, delta):
+    mp = pytest.importorskip("mpmath")
+    params = AtomFieldParams(n_sq, eta, phi, omega, delta)
+    got = steady_state(params).as_array()
+    with mp.workdps(50):
+        want = cramer_steady(params, mp)
+    # relative to each component, or absolute where it is subnormal
+    error = np.abs(got - want)
+    subnormal = np.abs(want) < 2.0**-1022
+    assert np.all((error <= 2e-15 * np.abs(want))
+                  | (subnormal & (error <= 2.0**-1022))), (got, want)
 
 
 def _from_bits(bits: int) -> float:

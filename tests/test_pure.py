@@ -309,7 +309,19 @@ class TestFindPureCurve:
         # at Phi = pi the far-detuned slice is nearly pure, but its drive
         # overflows to inf: an error, never an infinite omega
         with pytest.raises(NumericalError, match="overflows"):
-            find_pure_curve(math.pi, 0.2, 1e160)
+            find_pure_curve(math.pi, 0.2, 1e308)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta", [1e150, 1e160, 1e300])
+    def test_drive_past_its_square_overflow_is_finite(self, delta):
+        # w_pure = omega^2 overflows from |delta| ~ 1e154, the drive does
+        # not: it is the asymptotic one, 2 delta sqrt(M) (sqrt(N+1) + sqrt(N))
+        omega, sigma = find_pure_curve(math.pi, 0.2, delta)
+        m = math.sqrt(0.2 * 1.2)
+        assert omega == pytest.approx(
+            2.0 * delta * math.sqrt(m) * (math.sqrt(1.2) + math.sqrt(0.2)),
+            rel=1e-12)
+        assert sigma == pytest.approx(1.0, abs=1e-15)
 
     def test_detuned_resonant_phase_has_no_pure_state(self):
         with pytest.raises(NoPureStateError) as err:
