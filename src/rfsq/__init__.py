@@ -1,17 +1,19 @@
 """Squeezing in the resonance fluorescence of a driven atom in a squeezed vacuum.
 
-Library surface: physical parameters, steady states of the modified
-optical Bloch equations (the closed form, and relaxation under the RK4
-map as a time-domain oracle), quadrature-variance metrics, pure-state
+Library surface: physical parameters, closed-form steady states of the
+modified optical Bloch equations, quadrature-variance metrics, pure-state
 drive conditions, grid scans, optimum finding and figure-dataset
-emission. The `rfsq` CLI wraps the same operations.
+emission. The `rfsq` CLI wraps the same operations. The time-domain
+oracle (relaxation under the RK4 map, the assembled Bloch matrix and its
+stability certificate) lives in ``rfsq.verify``; ``relax_to_steady``
+reaches it for one point.
 
 The public names load lazily (PEP 562): ``import rfsq`` loads only
 ``rfsq._version``, and ``rfsq.full_report`` imports ``rfsq.metrics`` on first
 use. numpy loads only with what works on arrays (scan, figures, verify,
-the CSV reader and writer, ``minimize_variance_batch`` and the RK4
-oracle), so one-point calls such as ``full_report`` and ``pure_state``
-run on Python floats without it. ``rfsq.scan`` stays the function; the
+the CSV reader and writer, ``minimize_variance_batch`` and
+``relax_to_steady``), so one-point calls such as ``full_report`` and
+``pure_state`` run on Python floats without it. ``rfsq.scan`` stays the function; the
 submodule of that name is ``sys.modules["rfsq.scan"]``.
 """
 
@@ -24,8 +26,7 @@ from ._version import __version__
 #: each public name by the submodule that defines it
 _SOURCES = {
     "params": ("AtomFieldParams",),
-    "bloch": ("BlochState", "BlochSystem", "relax_to_steady", "spectral_abscissa",
-              "steady_state", "steady_state_grid"),
+    "bloch": ("BlochState", "relax_to_steady", "steady_state", "steady_state_grid"),
     "metrics": ("SqueezingReport", "full_report", "input_vacuum_variance",
                 "optimal_phase_analytic", "optimal_variance", "pure_state_variance",
                 "sphere_angles", "variance_theta"),

@@ -1,33 +1,17 @@
-"""Closed-form steady state and RK4 relaxation kernels.
+"""Closed-form steady-state kernel, what every command evaluates.
 
-The closed form is what every command evaluates, from one point to
-large parameter grids; relaxation under the fixed-step integrator map is
-the independent time-domain oracle of the tests and ``rfsq verify``.
-
-Steady state: the solution of ``A s + b = 0`` is written out in closed
-form (adjugate solution of the 3x3 system), which is exact for the Bloch
-matrix whose determinant never vanishes for valid parameters. The
-expression is written once over an array namespace (see _carrier):
-``steady_grid`` evaluates it with numpy over broadcastable arrays, and
-never expands constant inputs to the grid's size; ``bloch.steady_state``
-evaluates it on Python floats, without numpy.
-
-Relaxation: one step of the classic fixed-step RK4 scheme applied to a
-constant-coefficient linear system is the affine map ``s -> E s + c``
-with ``E`` the degree-4 Taylor polynomial of ``expm(h A)``. Its fixed
-point is exactly the steady state, so relaxation accuracy is limited
-only by how long the map is iterated, never by the step size. The map
-and the relaxation loop work on a stack of P systems at once, each with
-its own step, stopping residual and step cap. The loop squares the map
-on each pass, so a point relaxed over n steps costs about log2(n) passes.
+The solution of ``A s + b = 0`` is written out in closed form (adjugate
+solution of the 3x3 system), which is exact for the Bloch matrix whose
+determinant never vanishes for valid parameters. The expression is
+written once over an array namespace (see _carrier): ``steady_grid``
+evaluates it with numpy over broadcastable arrays, and never expands
+constant inputs to the grid's size; ``bloch.steady_state`` evaluates it
+on Python floats, without numpy.
 """
 
 from __future__ import annotations
 
 from .params import _rates
-
-#: instability sentinel: no physical Bloch component can approach this
-BLOW_LIMIT = 10.0
 
 
 def steady_grid(n_sq, eta, phi, omega, delta):
@@ -82,66 +66,3 @@ def _steady(xp, n_sq, eta, phi, omega, delta):
     if scaled:
         sy = xp.ldexp(sy, -e)  # sx is invariant: u sy scales by 2^e 2^-e
     return sx, sy, sz
-
-
-def _mv(m, v):
-    """Matrix-vector product over stacks: (..., 3, 3) @ (..., 3) -> (..., 3)."""
-    return (m @ v[..., None])[..., 0]
-
-
-def rk4_affine_map(a, b, h):
-    """One-step propagator (E, c) of classic RK4 for ds/dt = a s + b.
-
-    Works on one system (a (3, 3), b (3,), scalar h) or on a stack (a
-    (P, 3, 3), b (P, 3), h scalar or (P,)); E and c take the stack's shape.
-    """
-    import numpy as np
-
-    h = np.asarray(h, dtype=float)
-    hm = h[..., None, None]
-    hv = h[..., None]
-    eye = np.eye(3)
-    ha = hm * a
-    e = eye + ha @ (eye + (ha / 2.0) @ (eye + (ha / 3.0) @ (eye + ha / 4.0)))
-    k1 = b
-    k2 = _mv(a, (hv / 2.0) * k1) + b
-    k3 = _mv(a, (hv / 2.0) * k2) + b
-    k4 = _mv(a, hv * k3) + b
-    c = (hv / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return e, c
-
-
-def relax(e, c, a, b, s0, stop_resid, max_steps):
-    """Iterate P stacked RK4 one-step maps until each residual drops below target.
-
-    e, a are (P, 3, 3), c, b are (P, 3); s0 is (P, 3) or one (3,) start
-    for every point; stop_resid and max_steps are scalars or (P,). Each
-    pass advances the active points by the current map, then squares it,
-    (E, c) -> (E E, E c + c), so a point is checked after 1, 3, 7, ...,
-    2^k - 1 steps. It stops at its first check where its residual (the
-    max-norm of ``a @ state + b``) is at most its stop_resid, its step
-    count reaches max_steps, or its state is not finite or passed
-    BLOW_LIMIT (residual inf); a finished point stays frozen. Returns
-    (states (P, 3), residuals (P,), steps (P,)).
-    """
-    import numpy as np
-
-    states = np.array(np.broadcast_to(s0, c.shape), dtype=float)
-    resid = np.abs(_mv(a, states) + b).max(axis=-1)
-    steps = np.zeros(len(c), dtype=np.int64)
-    active = (resid > stop_resid) & (max_steps > 0)
-    taken = 0
-    # an unstable map overflows as it is squared: its point is flagged inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        while active.any():
-            taken = 2 * taken + 1
-            moved = _mv(e, states) + c
-            blown = ~(np.abs(moved).max(axis=-1) <= BLOW_LIMIT)
-            r = np.where(blown, np.inf, np.abs(_mv(a, moved) + b).max(axis=-1))
-            states = np.where(active[:, None], moved, states)
-            resid = np.where(active, r, resid)
-            steps[active] = taken
-            active &= ~blown & (r > stop_resid) & (taken < max_steps)
-            c = _mv(e, c) + c
-            e = e @ e
-    return states, resid, steps

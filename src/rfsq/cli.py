@@ -267,7 +267,7 @@ def _cmd_scan(args, params: AtomFieldParams) -> int:
                    {**result.metadata(), "theta": args.theta})
     if result.errors:
         raise NumericalError(
-            f"{len(result.errors)} of {result.values.size} scan nodes failed "
+            f"{result.failed_nodes()} of {result.values.size} scan nodes failed "
             f"to evaluate (first at {list(result.errors[0][0])})"
         )
     return 0

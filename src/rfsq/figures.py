@@ -39,8 +39,10 @@ def _panels(metric, axis, template):
         fixed = replace(template, n_sq=n)
         for m in (metric, "sigma"):
             result = scan(ScanSpec(axis1=axis, fixed=fixed, metric=m))
-            columns[f"{m}_N{n:g}"] = result.values
-            errors.extend(result.errors)
+            column = f"{m}_N{n:g}"
+            columns[column] = result.values
+            errors += [(first, last, f"{column}: {message}")
+                       for first, last, message in result.errors]
     meta = scan_metadata(metric, [axis], template, errors)
     meta["panels"] = list(PANEL_NS)
     return columns, meta

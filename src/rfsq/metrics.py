@@ -143,6 +143,21 @@ def sphere_angles(params: AtomFieldParams) -> tuple[float, float]:
     return alpha, math.acos(-(m - n) / (m + n))
 
 
+def _n_minus_m(n_sq, eta):
+    """(N - M, M) over scalars or broadcastable arrays.
+
+    N - M = N ((1 - eta^2) N - eta^2) / (N + M), which is -N / (N + M) at
+    eta = 1: the plain difference cancels as N grows (7e-14 relative at
+    N = 1e3, 2.5e-9 at 1e8). At N = 0 the numerator is 0 and the
+    denominator is taken as 1.
+    """
+    xp = carrier(n_sq, eta)
+    m = decay_rates(n_sq, eta, 0.0)[0]
+    total = n_sq + m
+    excess = n_sq * ((1.0 - eta) * (1.0 + eta) * n_sq - eta * eta)
+    return excess / xp.where(total > 0.0, total, 1.0), m
+
+
 def pure_state_variance(n_sq, eta=1.0):
     """Optimal-quadrature variance radiated from the pure steady state.
 
@@ -150,8 +165,8 @@ def pure_state_variance(n_sq, eta=1.0):
     <sz>(1 + <sz>) with <sz> = (N - M)/(N + M). Polymorphic over scalars
     and broadcastable arrays.
     """
-    m = decay_rates(n_sq, eta, 0.0)[0]
-    return (n_sq - m) / (n_sq + m + 0.5)
+    n_m, m = _n_minus_m(n_sq, eta)
+    return n_m / (n_sq + m + 0.5)
 
 
 def input_vacuum_variance(n_sq, eta=1.0):
@@ -160,8 +175,7 @@ def input_vacuum_variance(n_sq, eta=1.0):
     (N - M) / 2 in the same normalisation, approaching -0.25 as N grows.
     Polymorphic over scalars and broadcastable arrays.
     """
-    m = decay_rates(n_sq, eta, 0.0)[0]
-    return (n_sq - m) / 2.0
+    return _n_minus_m(n_sq, eta)[0] / 2.0
 
 
 def full_report(params: AtomFieldParams) -> SqueezingReport:

@@ -65,7 +65,10 @@ class AxisSpec:
 
     @property
     def values(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        if math.isfinite(self.stop - self.start):
+            return np.linspace(self.start, self.stop, self.count)
+        # the span overflows: halved, both ends and the step are exact
+        return 2.0 * np.linspace(self.start / 2.0, self.stop / 2.0, self.count)
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,10 @@ class ScanSpec:
 class ScanResult:
     """Metric values on the grid (axis1 outer, axis2 inner) plus metadata.
 
-    Nodes that failed to evaluate are recorded in ``errors`` as
-    (indices, message) and hold 0.0 in ``values``; NaN is never emitted.
+    Nodes that failed to evaluate hold 0.0 in ``values``; NaN is never
+    emitted. ``errors`` records them as (first, last, message), one entry
+    per row-major run of consecutive failed nodes, with first and last the
+    index tuples of its ends.
     """
 
     spec: ScanSpec
@@ -123,6 +128,13 @@ class ScanResult:
             spec.metric: self.values.ravel(),
         }
 
+    def failed_nodes(self) -> int:
+        """How many nodes failed to evaluate."""
+        shape = self.values.shape
+        return sum(int(np.ravel_multi_index(last, shape))
+                   - int(np.ravel_multi_index(first, shape)) + 1
+                   for first, last, _ in self.errors)
+
     def metadata(self) -> dict:
         """Sidecar fields that make the scan reproducible (see scan_metadata)."""
         return scan_metadata(self.spec.metric, self.spec.axes, self.spec.fixed,
@@ -130,7 +142,7 @@ class ScanResult:
 
 
 def scan_metadata(metric, axes, fixed: AtomFieldParams, errors) -> dict:
-    """Artifact version, metric, axes, fixed inputs and per-node errors."""
+    """Artifact version, metric, axes, fixed inputs and failed-node runs."""
     return {
         "version": __version__,
         "metric": metric,
@@ -186,8 +198,18 @@ def scan(spec: ScanSpec) -> ScanResult:
             values[lo:lo + rows] = _metric_from_states(spec.metric, sx, sy, sz,
                                                        node["theta"])
 
-    bad = ~np.isfinite(values)
-    errors = [(tuple(int(i) for i in idx), "steady state failed to evaluate")
-              for idx in np.argwhere(bad)]
-    values[bad] = 0.0
-    return ScanResult(spec=spec, values=values, errors=errors)
+    bad = np.flatnonzero(~np.isfinite(values))
+    values.flat[bad] = 0.0
+    return ScanResult(spec=spec, values=values, errors=_runs(bad, spec.shape))
+
+
+def _runs(flat, shape):
+    """(first, last, message) per run of consecutive flat indices."""
+    if not flat.size:
+        return []
+    cut = np.flatnonzero(np.diff(flat) > 1)
+    firsts = np.unravel_index(flat[np.r_[0, cut + 1]], shape)
+    lasts = np.unravel_index(flat[np.r_[cut, -1]], shape)
+    return [(tuple(map(int, first)), tuple(map(int, last)),
+             "steady state failed to evaluate")
+            for first, last in zip(zip(*firsts), zip(*lasts))]

@@ -5,13 +5,17 @@ The randomised sweeps draw from the broad desk-scale parameter domain
 (N in [0, 2], Phi in [0, 2 pi), Omega in [0, 30], Delta in [-30, 30],
 ideal reservoir). ``fast`` shrinks the sweep sizes for a
 quick smoke run. The sweeps are batched: a check draws all its points
-with one generator call and evaluates them with array calls of the
-shipped functions (the relaxations with one ``relax_batch``, the
-photon-number certification with one ``minimize_variance_batch``).
+with one generator call and evaluates them with array calls (the
+relaxations with one ``relax_batch``, the photon-number certification
+with one ``minimize_variance_batch``).
 Two checks keep a scalar loop, as the scalar path is what they test:
 csv-roundtrip (``full_report`` against the grid path) and maximal-family
 (``pure_state`` and ``steady_state``, the path of ``rfsq pure``). The
 minima over omega are the closed form of ``drive_optima``: no search.
+
+The independent time-domain oracle lives here, as no command needs it:
+the assembled Bloch matrix (``system_grid``), its stability certificate,
+and relaxation under the fixed-step RK4 map (``relax_batch``).
 """
 
 from __future__ import annotations
@@ -22,17 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .bloch import (
-    BlochState,
-    BlochSystem,
-    relax_batch,
-    routh_hurwitz_margins,
-    spectral_abscissa,
-    steady_state,
-    steady_state_grid,
-    system_grid,
+from .bloch import BlochState, steady_state, steady_state_grid
+from .errors import (
+    CertificationFailedError,
+    NoConvergenceError,
+    RfsqError,
+    StepTooLargeError,
+    ValidationError,
 )
-from .errors import CertificationFailedError, RfsqError
 from .figures import emit_figure
 from .io import read_csv
 from .metrics import (
@@ -78,6 +79,167 @@ def _min_over_omega(n_sq, phi, delta, theta=None):
                                          delta=delta))
     return omega, (optimal_variance(state) if theta is None
                    else variance_theta(state, theta))
+
+
+# The time-domain oracle. One step of the classic fixed-step RK4 scheme
+# applied to the constant-coefficient system ds/dt = A s + b is the affine
+# map s -> E s + c, with E the degree-4 Taylor polynomial of expm(h A). Its
+# fixed point is exactly the steady state, so relaxation accuracy is
+# limited only by how long the map is iterated, never by the step size.
+# Everything works on a stack of P systems at once, each with its own
+# step, stopping residual and step cap.
+
+#: instability sentinel: no physical Bloch component can approach this
+BLOW_LIMIT = 10.0
+
+
+def system_grid(n_sq, eta, phi, omega, delta):
+    """Bloch matrix A and vector b over broadcastable parameter arrays.
+
+    A is (..., 3, 3) and b (..., 3), with ... the broadcast shape: one
+    system for scalar inputs, a stack for arrays.
+    """
+    n_sq, eta, phi, omega, delta = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (n_sq, eta, phi, omega, delta)))
+    m, _, gamma_x, gamma_y, gamma_z = decay_rates(n_sq, eta, phi)
+    m_sin = m * np.sin(phi)
+    zero = np.zeros_like(n_sq)
+    a = np.stack([
+        np.stack([-gamma_x, -(delta + m_sin), zero], axis=-1),
+        np.stack([delta - m_sin, -gamma_y, -omega], axis=-1),
+        np.stack([zero, omega, -gamma_z], axis=-1),
+    ], axis=-2)
+    b = np.stack([zero, zero, zero - 1.0], axis=-1)
+    return a, b
+
+
+def routh_hurwitz_margins(a):
+    """Stability certificate (c2, c0, c2*c1 - c0) of A; all positive iff Hurwitz.
+
+    c2, c1 and c0 are the coefficients of det(lam*I - A) = lam^3 + c2 lam^2
+    + c1 lam + c0. Over a stack of matrices (..., 3, 3) each margin is an
+    array.
+    """
+    c2 = -np.trace(a, axis1=-2, axis2=-1)
+    c1 = (  # sum of the principal 2x2 minors
+        a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        + a[..., 0, 0] * a[..., 2, 2] - a[..., 0, 2] * a[..., 2, 0]
+        + a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1]
+    )
+    c0 = -np.linalg.det(a)
+    return c2, c0, c2 * c1 - c0
+
+
+def spectral_abscissa(a):
+    """Largest real part among the eigenvalues of A; one per matrix of a stack."""
+    return np.linalg.eigvals(a).real.max(axis=-1)
+
+
+def _mv(m, v):
+    """Matrix-vector product over stacks: (..., 3, 3) @ (..., 3) -> (..., 3)."""
+    return (m @ v[..., None])[..., 0]
+
+
+def rk4_affine_map(a, b, h):
+    """One-step propagator (E, c) of classic RK4 for ds/dt = a s + b.
+
+    Works on one system (a (3, 3), b (3,), scalar h) or on a stack (a
+    (P, 3, 3), b (P, 3), h scalar or (P,)); E and c take the stack's shape.
+    """
+    h = np.asarray(h, dtype=float)
+    hm = h[..., None, None]
+    hv = h[..., None]
+    eye = np.eye(3)
+    ha = hm * a
+    e = eye + ha @ (eye + (ha / 2.0) @ (eye + (ha / 3.0) @ (eye + ha / 4.0)))
+    k1 = b
+    k2 = _mv(a, (hv / 2.0) * k1) + b
+    k3 = _mv(a, (hv / 2.0) * k2) + b
+    k4 = _mv(a, hv * k3) + b
+    c = (hv / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return e, c
+
+
+def relax(e, c, a, b, start, stop_resid, max_steps):
+    """Iterate P stacked RK4 one-step maps until each residual drops below target.
+
+    e, a are (P, 3, 3), c, b are (P, 3); start is (P, 3) or one (3,) state
+    for every point; stop_resid and max_steps are scalars or (P,). Each
+    pass advances the active points by the current map, then squares it,
+    (E, c) -> (E E, E c + c), so a point is checked after 1, 3, 7, ...,
+    2^k - 1 steps and one relaxed over n steps costs about log2(n)
+    passes. It stops at its first check where its residual (the max-norm
+    of ``a @ state + b``) is at most its stop_resid, its step count
+    reaches max_steps, or its state is not finite or passed BLOW_LIMIT
+    (residual inf); a finished point stays frozen. Returns (states (P, 3),
+    residuals (P,), steps (P,)).
+    """
+    states = np.array(np.broadcast_to(start, c.shape), dtype=float)
+    resid = np.abs(_mv(a, states) + b).max(axis=-1)
+    steps = np.zeros(len(c), dtype=np.int64)
+    active = (resid > stop_resid) & (max_steps > 0)
+    taken = 0
+    # an unstable map overflows as it is squared: its point is flagged inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        while active.any():
+            taken = 2 * taken + 1
+            moved = _mv(e, states) + c
+            blown = ~(np.abs(moved).max(axis=-1) <= BLOW_LIMIT)
+            r = np.where(blown, np.inf, np.abs(_mv(a, moved) + b).max(axis=-1))
+            states = np.where(active[:, None], moved, states)
+            resid = np.where(active, r, resid)
+            steps[active] = taken
+            active &= ~blown & (r > stop_resid) & (taken < max_steps)
+            c = _mv(e, c) + c
+            e = e @ e
+    return states, resid, steps
+
+
+def relax_batch(n_sq, eta, phi, omega, delta, tol=1e-10) -> np.ndarray:
+    """Relax P points from the ground state at once; returns their states as (P, 3).
+
+    The inputs are scalars or broadcastable 1-D arrays, as for
+    ``system_grid``. Each point is integrated until its state error bound
+    ||A^-1||_inf ||ds/dt||_inf drops below tol (a scalar or one per
+    point), which also guarantees ||ds/dt||_inf < tol. The step comes
+    from the stability bound alone; each point has its own step,
+    stopping residual and time cap (at least 200 slow time constants),
+    and gets the bits it gets alone. Raises StepTooLargeError or
+    NoConvergenceError for the first failing point, naming its index;
+    NoConvergenceError reports the residual and the time integrated,
+    which a doubling pass of ``relax`` may carry to twice the cap.
+    """
+    if np.any(np.asarray(tol) <= 0.0):
+        raise ValidationError(f"tol must be positive, got {tol}")
+    a, b = system_grid(*np.atleast_1d(n_sq, eta, phi, omega, delta))
+    a_norm = np.abs(a).sum(axis=-1).max(axis=-1)
+    h = 0.25 / (a_norm + 1.0)
+    ainv_norm = np.abs(np.linalg.inv(a)).sum(axis=-1).max(axis=-1)
+    stop_resid = tol * np.minimum(1.0, 1.0 / ainv_norm)
+
+    # time cap: at least 200 time constants of the slowest decaying mode,
+    # which can be far slower than min(gamma_x, gamma_y, gamma_z) when the
+    # coherences mix into slow/fast quadrature combinations
+    rates = -np.diagonal(a, axis1=1, axis2=2)  # gamma_x, gamma_y, gamma_z
+    rho_slow = np.minimum(-spectral_abscissa(a), rates.min(axis=-1))
+    t_cap = 200.0 / rho_slow
+    max_steps = np.ceil(t_cap / h).astype(np.int64)
+
+    e, c = rk4_affine_map(a, b, h)
+    states, resid, steps = relax(e, c, a, b, BlochState.ground().as_array(),
+                                 stop_resid, max_steps)
+    failed = np.flatnonzero(~(resid <= stop_resid))
+    if failed.size:
+        k = failed[0]
+        if not np.isfinite(resid[k]):
+            raise StepTooLargeError(
+                f"relaxation trajectory of point {k} left the physical ball")
+        raise NoConvergenceError(
+            f"relaxation residual {resid[k]:.3e} of point {k} still above "
+            f"{stop_resid[k]:.3e} after t = {steps[k] * h[k]:.3g}",
+            residual=float(resid[k]),
+        )
+    return states
 
 
 def check_maximal_family(seed=42, fast=False):
@@ -186,7 +348,7 @@ def check_relaxation_oracle(seed=42, fast=False):
     """Steady state and time-domain relaxation agree; closed-form <sz> matches."""
     rng = np.random.default_rng(seed)
     draws = _draws(rng, 100 if fast else 1000)
-    relaxed = relax_batch([_params(*point) for point in draws.T], tol=1e-9)
+    relaxed = relax_batch(draws[0], 1.0, *draws[1:], tol=1e-9)
     direct = np.stack(steady_state_grid(draws[0], 1.0, *draws[1:]), axis=-1)
     worst_state = np.abs(direct - relaxed).max()
     worst_sz = np.abs(sz_plus_half_grid(*draws) - (direct[:, 2] + 0.5)).max()
@@ -284,13 +446,12 @@ def check_stability_certificate(seed=42, fast=False):
     """The Bloch matrix is Hurwitz across the sweep (positive certificate margins)."""
     rng = np.random.default_rng(seed + 3)
     draws = _draws(rng, 200 if fast else 1000)
-    system = system_grid(draws[0], 1.0, *draws[1:])
+    a, _ = system_grid(draws[0], 1.0, *draws[1:])
     # the eigenvalues of every tenth matrix, as an independent check
-    tenth = BlochSystem(system.a_matrix[::10], system.b_vector[::10])
-    unstable = np.flatnonzero(spectral_abscissa(tenth) >= 0.0)
+    unstable = np.flatnonzero(spectral_abscissa(a[::10]) >= 0.0)
     if unstable.size:
         return False, f"unstable matrix at {_params(*draws[:, 10 * unstable[0]])}"
-    worst = min(np.min(margin) for margin in routh_hurwitz_margins(system))
+    worst = min(np.min(margin) for margin in routh_hurwitz_margins(a))
     return bool(worst > 0.0), f"smallest certificate margin {worst:.3e} (must be > 0)"
 
 

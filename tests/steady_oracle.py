@@ -3,18 +3,18 @@ and Cramer's rule at high precision."""
 
 import numpy as np
 
-from rfsq.bloch import system_grid
+from rfsq.verify import system_grid
 
 
 def system_of(params):
-    """The Bloch system of one parameter point."""
+    """The Bloch matrix A and vector b of one parameter point."""
     return system_grid(**params.inputs())
 
 
 def solve_steady(params) -> np.ndarray:
     """Steady Bloch vector by LAPACK partial-pivoted LU on the assembled system."""
-    system = system_of(params)
-    return np.linalg.solve(system.a_matrix, -system.b_vector)
+    a, b = system_of(params)
+    return np.linalg.solve(a, -b)
 
 
 def cramer_steady(params, mp) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""The closed-form steady-state kernel and the RK4 map."""
+"""The closed-form steady-state kernel, and the RK4 map of the verify oracle."""
 
 import math
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rfsq import AtomFieldParams, steady_state
-from rfsq.backends import relax, rk4_affine_map, steady_grid
+from rfsq.backends import steady_grid
 from rfsq.params import decay_rates
+from rfsq.verify import relax, rk4_affine_map
 
 from steady_oracle import cramer_steady, solve_steady
 

@@ -12,14 +12,21 @@ from rfsq import (
     steady_state,
     steady_state_grid,
 )
-from rfsq.backends import relax, rk4_affine_map
-from rfsq.bloch import relax_batch, routh_hurwitz_margins
+from rfsq import verify
 from rfsq.errors import (
     NoConvergenceError,
     NumericalError,
+    StepTooLargeError,
     ValidationError,
 )
-from rfsq.verify import _draws, _params
+from rfsq.verify import (
+    _draws,
+    _params,
+    relax,
+    relax_batch,
+    rk4_affine_map,
+    routh_hurwitz_margins,
+)
 
 from steady_oracle import solve_steady, system_of
 
@@ -35,12 +42,12 @@ def random_params(rng):
 
 class TestBuildSystem:
     def test_free_decay(self):
-        system = system_of(AtomFieldParams(n_sq=0.0, omega=0.0, delta=0.0))
-        assert np.allclose(system.a_matrix, np.diag([-0.5, -0.5, -1.0]))
-        assert np.array_equal(system.b_vector, [0.0, 0.0, -1.0])
+        a, b = system_of(AtomFieldParams(n_sq=0.0, omega=0.0, delta=0.0))
+        assert np.allclose(a, np.diag([-0.5, -0.5, -1.0]))
+        assert np.array_equal(b, [0.0, 0.0, -1.0])
 
     def test_special_photon_number_on_resonance(self):
-        system = system_of(AtomFieldParams(
+        a, _ = system_of(AtomFieldParams(
             n_sq=0.125, phi=0.0, delta=0.0, omega=math.sqrt(3.0) / 4.0))
         w = math.sqrt(3.0) / 4.0
         expected = np.array([
@@ -48,15 +55,15 @@ class TestBuildSystem:
             [0.0, -0.25, -w],
             [0.0, w, -1.25],
         ])
-        assert np.allclose(system.a_matrix, expected, atol=1e-15)
+        assert np.allclose(a, expected, atol=1e-15)
 
     def test_quarter_phase_couplings(self):
         # sin(phi) = 1 splits the coherence couplings by +-gM
-        system = system_of(AtomFieldParams(
+        a, _ = system_of(AtomFieldParams(
             n_sq=0.1, phi=math.pi / 2.0, delta=1.0, omega=2.0))
         m = math.sqrt(0.11)
-        assert system.a_matrix[0, 1] == pytest.approx(-(1.0 + m), abs=1e-15)
-        assert system.a_matrix[1, 0] == pytest.approx(1.0 - m, abs=1e-15)
+        assert a[0, 1] == pytest.approx(-(1.0 + m), abs=1e-15)
+        assert a[1, 0] == pytest.approx(1.0 - m, abs=1e-15)
 
 
 class TestSteadyState:
@@ -93,10 +100,10 @@ class TestSteadyState:
                             omega=1000.0 * math.sqrt(3.0)),
         ]
         for params in cases:
-            system = system_of(params)
+            a, b = system_of(params)
             s = steady_state(params).as_array()
-            resid = np.abs(system.a_matrix @ s + system.b_vector).max()
-            assert resid < 1e-12 * max(1.0, np.abs(system.b_vector).max())
+            resid = np.abs(a @ s + b).max()
+            assert resid < 1e-12 * max(1.0, np.abs(b).max())
 
     def test_singular_matrix_is_reported(self):
         unsolvable = [
@@ -136,8 +143,7 @@ class TestGrid:
 
 def rk4_trajectory_end(params, s0, t_final, dt):
     """State at t_final after iterating the one-step RK4 map from s0."""
-    system = system_of(params)
-    e, c = rk4_affine_map(system.a_matrix, system.b_vector, dt)
+    e, c = rk4_affine_map(*system_of(params), dt)
     s = s0.as_array()
     for _ in range(round(t_final / dt)):
         s = e @ s + c
@@ -168,8 +174,7 @@ class TestEvolve:
     def test_instability_sentinel(self):
         # a step far beyond the stability bound: the relaxation loop flags
         # the point with an infinite residual instead of iterating on
-        system = system_of(AtomFieldParams(omega=30.0))
-        a, b = system.a_matrix[None], system.b_vector[None]
+        a, b = (x[None] for x in system_of(AtomFieldParams(omega=30.0)))
         e, c = rk4_affine_map(a, b, 1.0)
         states, resid, steps = relax(e, c, a, b, BlochState.ground().as_array(),
                                      1e-12, 10_000)
@@ -188,11 +193,6 @@ class TestRelax:
             direct = steady_state(params).as_array()
             relaxed = relax_to_steady(params, tol=1e-10).as_array()
             assert np.abs(direct - relaxed).max() < 1e-9
-
-    def test_from_arbitrary_start(self):
-        state = relax_to_steady(AtomFieldParams(n_sq=0.0, omega=0.0),
-                                BlochState(1.0, 0.0, 0.0), tol=1e-10)
-        assert np.allclose(state.as_array(), [0.0, 0.0, -1.0], atol=1e-9)
 
     def test_oracle_equivalence_sweep(self):
         rng = np.random.default_rng(19)
@@ -215,39 +215,41 @@ class TestRelax:
 class TestRelaxBatch:
     def test_verify_draws_match_the_serial_loop(self):
         # each point of the batch gets the bits it gets alone
-        rng = np.random.default_rng(42)
-        draws = [_params(*point) for point in _draws(rng, 1000).T]
-        batched = relax_batch(draws, tol=1e-9)
+        draws = _draws(np.random.default_rng(42), 1000)
+        batched = relax_batch(draws[0], 1.0, *draws[1:], tol=1e-9)
         assert batched.shape == (1000, 3)
-        for params, state in zip(draws, batched):
-            assert np.array_equal(state, relax_batch([params], tol=1e-9)[0])
+        for point, state in zip(draws.T, batched):
+            params = _params(*point)
+            alone = relax_to_steady(params, tol=1e-9)
+            assert np.array_equal(state, alone.as_array())
             assert np.abs(state - steady_state(params).as_array()).max() < 1e-7
 
     def test_failing_point_is_named(self):
-        draws = [AtomFieldParams(n_sq=0.3, omega=w) for w in (0.5, 1.0, 2.0, 4.0)]
+        omega = np.array([0.5, 1.0, 2.0, 4.0])
         tol = np.array([1e-9, 1e-9, 1e-30, 1e-9])
         with pytest.raises(NoConvergenceError, match="point 2 ") as err:
-            relax_batch(draws, tol=tol)
+            relax_batch(0.3, 1.0, 0.0, omega, 0.0, tol=tol)
         assert err.value.residual > 0.0
 
-    def test_single_point_from_arbitrary_start(self):
-        params = AtomFieldParams(n_sq=0.0, omega=0.0)
-        start = BlochState(1.0, 0.0, 0.0)
-        (state,) = relax_batch([params], start.as_array(), tol=1e-10)
-        assert np.allclose(state, [0.0, 0.0, -1.0], atol=1e-9)
-        single = relax_to_steady(params, start, tol=1e-10).as_array()
-        assert np.array_equal(state, single)
+    def test_step_past_the_stability_bound_is_named(self, monkeypatch):
+        # forty times the chosen step at point 1 alone: its RK4 map is
+        # unstable, and its trajectory leaves the ball
+        real = verify.rk4_affine_map
+        monkeypatch.setattr(verify, "rk4_affine_map", lambda a, b, h: real(
+            a, b, h * np.array([1.0, 40.0, 1.0])))
+        with pytest.raises(StepTooLargeError, match="point 1 left"):
+            relax_batch(0.3, 1.0, 0.0, np.array([0.5, 30.0, 2.0]), 0.0)
 
     def test_tol_validation(self):
         with pytest.raises(ValidationError):
-            relax_batch([AtomFieldParams()] * 2, tol=np.array([1e-9, 0.0]))
+            relax_batch(0.0, 1.0, 0.0, 0.0, np.zeros(2), tol=np.array([1e-9, 0.0]))
 
 
 def test_stability_certificate_over_random_sweep():
     rng = np.random.default_rng(23)
     for k in range(1000):
-        system = system_of(random_params(rng))
-        margins = routh_hurwitz_margins(system)
+        a, _ = system_of(random_params(rng))
+        margins = routh_hurwitz_margins(a)
         assert min(margins) > 0.0
         if k % 20 == 0:
-            assert np.linalg.eigvals(system.a_matrix).real.max() < 0.0
+            assert np.linalg.eigvals(a).real.max() < 0.0

@@ -95,7 +95,20 @@ def test_failed_scan_nodes_exit_two_with_out(capsys, tmp_path):
                    "(first at [1])\n")
     assert list(read_csv(out_path)["s_x"][1:]) == [0.0, 0.0]
     meta = json.loads((tmp_path / "scan.csv.meta.json").read_text())
-    assert [index for index, _ in meta["errors"]] == [[1], [2]]
+    assert meta["errors"] == [[[1], [2], "steady state failed to evaluate"]]
+
+
+@pytest.mark.filterwarnings("error")
+def test_axis_whose_span_overflows_is_exact(capsys):
+    # stop - start overflows: the axis is still [-1e308, 0, 1e308], and the
+    # kernel evaluates |delta| = 1e308 exactly
+    code, out, err = run(capsys, "scan", "--metric", "s_opt",
+                         "--axis1", "delta:-1e308:1e308:3", "--n", "0.1",
+                         "--omega", "1")
+    assert (code, err) == (0, "")
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[2:]]
+    assert [row[0] for row in rows] == [-1e308, 0.0, 1e308]
+    assert all(math.isfinite(row[1]) for row in rows)
 
 
 def test_scan_reproduces_figure_three(capsys, tmp_path):

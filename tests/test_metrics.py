@@ -18,6 +18,7 @@ from rfsq import (
     steady_state,
     variance_theta,
 )
+from rfsq.errors import NumericalError
 
 from phase_oracle import DegeneratePhaseError, optimal_phase_numeric
 
@@ -95,6 +96,15 @@ class TestOptimalVariance:
         assert optimal_variance(BlochState.ground()) == 0.0
         assert optimal_variance(BlochState(0.0, 0.0, 0.0)) == 1.0
 
+    def test_identity_violation_is_a_numerical_error(self):
+        # s_opt = 1e16, but sz (1 + sz) + 1 - Sigma rounds to 0
+        with pytest.raises(NumericalError, match=r"1e\+16 vs 0\.0$"):
+            optimal_variance(BlochState(0.0, 0.0, 1e16))
+        # over arrays, the first violating point is named
+        stack = BlochState(np.zeros(3), np.zeros(3), np.array([-0.5, 1e16, 2e16]))
+        with pytest.raises(NumericalError, match=r"1e\+16 vs 0\.0$"):
+            optimal_variance(stack)
+
     def test_is_the_floor_of_the_sampled_variances(self):
         rng = np.random.default_rng(31)
         thetas = np.linspace(0.0, math.pi, 360, endpoint=False)
@@ -168,6 +178,23 @@ class TestVarianceLaws:
 
     def test_input_variance_saturates(self):
         assert input_vacuum_variance(1e6) == pytest.approx(-0.25, abs=1e-6)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.95, 1.0])
+    def test_laws_match_fifty_digits(self, eta):
+        # N - M cancels as N grows: the plain difference was 2.5e-9 off
+        # (relative) at N = 1e8
+        mp = pytest.importorskip("mpmath")
+        ns = np.geomspace(1e-6, 1e12, 181)
+        arrays = pure_state_variance(ns, eta), input_vacuum_variance(ns, eta)
+        with mp.workdps(50):
+            for k, n in enumerate(ns.tolist()):
+                big_n, big_eta = mp.mpf(n), mp.mpf(eta)
+                diff = big_n - big_eta * mp.sqrt(big_n * (big_n + 1))
+                laws = (pure_state_variance, input_vacuum_variance)
+                wants = (diff / (2 * big_n - diff + mp.mpf(1) / 2), diff / 2)
+                for law, array, want in zip(laws, arrays, wants):
+                    for got in (law(n, eta), array[k]):
+                        assert abs(got - want) <= 2e-15 * abs(want), (n, law)
 
 
 class TestFullReport:

@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from rfsq import backends, metrics  # noqa: E402
 from rfsq._carrier import SCALAR  # noqa: E402
-from rfsq.bloch import (  # noqa: E402
-    BlochState, routh_hurwitz_margins, steady_state, system_grid)
+from rfsq.bloch import BlochState, steady_state  # noqa: E402
 from rfsq.errors import NumericalError  # noqa: E402
 from rfsq.io import read_csv, write_csv  # noqa: E402
 from rfsq.metrics import (  # noqa: E402
@@ -21,6 +20,7 @@ from rfsq.optimize import (  # noqa: E402
     VARIANCE_BOUND, drive_optima, minimize_variance_batch)
 from rfsq.params import AtomFieldParams, decay_rates  # noqa: E402
 from rfsq.pure import pure_state  # noqa: E402
+from rfsq.verify import routh_hurwitz_margins, system_grid  # noqa: E402
 
 from search_oracle import grid_minimum, scalar_search  # noqa: E402
 from steady_oracle import cramer_steady  # noqa: E402
@@ -114,7 +114,7 @@ def test_purity_and_variance_respect_their_bounds(params):
 @POINT_SETTINGS
 @given(domain_params)
 def test_bloch_matrix_is_hurwitz(params):
-    margins = routh_hurwitz_margins(system_grid(**params.inputs()))
+    margins = routh_hurwitz_margins(system_grid(**params.inputs())[0])
     assert all(margin > 0.0 for margin in margins)
 
 

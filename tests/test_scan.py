@@ -135,7 +135,38 @@ def test_failed_nodes_become_error_rows(monkeypatch):
     monkeypatch.setattr(backends, "steady_grid", poisoned)
     result = scan(ScanSpec(axis1=AxisSpec("omega", 0.0, 1.0, 8),
                            fixed=AtomFieldParams(n_sq=0.1), metric="sz"))
-    assert len(result.errors) == 1
-    assert result.errors[0][0] == (3,)
+    assert result.errors == [((3,), (3,), "steady state failed to evaluate")]
+    assert result.failed_nodes() == 1
     assert np.isfinite(result.values).all()
     assert result.values[3] == 0.0
+
+
+def test_failed_nodes_are_recorded_as_row_major_runs(monkeypatch):
+    from rfsq import backends
+
+    real = backends.steady_grid
+    poison = [1, 2, 3, 9, 10, 19]
+
+    def poisoned(n_sq, eta, phi, omega, delta):
+        sx, sy, sz = real(n_sq, eta, phi, omega, delta)
+        sz = sz.copy()
+        sz.flat[poison] = np.nan
+        return sx, sy, sz
+
+    monkeypatch.setattr(backends, "steady_grid", poisoned)
+    result = scan(ScanSpec(axis1=AxisSpec("omega", 0.0, 1.0, 4),
+                           axis2=AxisSpec("delta", 0.0, 1.0, 5),
+                           fixed=AtomFieldParams(n_sq=0.1), metric="sz"))
+    # a run may cross the end of a row
+    assert [(first, last) for first, last, _ in result.errors] == [
+        ((0, 1), (0, 3)), ((1, 4), (2, 0)), ((3, 4), (3, 4))]
+    assert result.failed_nodes() == len(poison)
+    assert np.count_nonzero(result.values.flat[poison]) == 0
+
+
+def test_axis_span_overflow_is_halved_only_where_it_overflows():
+    axis = AxisSpec("delta", -1e308, 1e308, 5)
+    assert list(axis.values) == [-1e308, -5e307, 0.0, 5e307, 1e308]
+    # a finite span keeps linspace's bits
+    finite = AxisSpec("delta", -3.0, 7.1, 11)
+    assert np.array_equal(finite.values, np.linspace(-3.0, 7.1, 11))

@@ -12,15 +12,7 @@ import numpy as np
 import pytest
 
 from rfsq import verify
-from rfsq.bloch import (
-    BlochState,
-    relax_batch,
-    routh_hurwitz_margins,
-    spectral_abscissa,
-    steady_state,
-    steady_state_grid,
-    system_grid,
-)
+from rfsq.bloch import BlochState, steady_state, steady_state_grid
 from rfsq.errors import CertificationFailedError
 from rfsq.metrics import (
     optimal_phase_analytic,
@@ -37,6 +29,12 @@ from rfsq.optimize import (
 )
 from rfsq.params import AtomFieldParams, decay_rates
 from rfsq.pure import sz_plus_half_grid
+from rfsq.verify import (
+    relax_batch,
+    routh_hurwitz_margins,
+    spectral_abscissa,
+    system_grid,
+)
 
 from search_oracle import grid_minimum, scalar_search
 from steady_oracle import system_of
@@ -57,7 +55,8 @@ def loop_relaxation_oracle(seed=42, fast=False):
     rng = np.random.default_rng(seed)
     count = 100 if fast else 1000
     draws = [draw_params(rng) for _ in range(count)]
-    relaxed = relax_batch(draws, tol=1e-9)
+    relaxed = relax_batch(*np.array([list(p.inputs().values()) for p in draws]).T,
+                          tol=1e-9)
     worst_state = 0.0
     worst_sz = 0.0
     for params, state in zip(draws, relaxed):
@@ -203,11 +202,11 @@ def loop_stability_certificate(seed=42, fast=False):
     worst = np.inf
     for k in range(count):
         params = draw_params(rng)
-        system = system_of(params)
-        margins = routh_hurwitz_margins(system)
+        a, _ = system_of(params)
+        margins = routh_hurwitz_margins(a)
         worst = min(worst, *margins)
         if k % 10 == 0:
-            if np.linalg.eigvals(system.a_matrix).real.max() >= 0.0:
+            if np.linalg.eigvals(a).real.max() >= 0.0:
                 return False, f"unstable matrix at {params}"
     return worst > 0.0, f"smallest certificate margin {worst:.3e} (must be > 0)"
 
@@ -242,14 +241,14 @@ def test_fast_sweeps_match_their_loops_on_forty_seeds(name):
 def test_array_forms_match_the_scalar_functions():
     draws = verify._draws(np.random.default_rng(42), 1000)
     params = [verify._params(*point) for point in draws.T]
-    system = system_grid(draws[0], 1.0, *draws[1:])
+    a, b = system_grid(draws[0], 1.0, *draws[1:])
     singles = [system_of(p) for p in params]
-    assert np.array_equal(system.a_matrix, np.stack([s.a_matrix for s in singles]))
-    assert np.array_equal(system.b_vector, np.stack([s.b_vector for s in singles]))
-    assert np.array_equal(np.array(routh_hurwitz_margins(system)).T,
-                          [routh_hurwitz_margins(s) for s in singles])
-    assert np.array_equal(spectral_abscissa(system),
-                          [spectral_abscissa(s) for s in singles])
+    assert np.array_equal(a, np.stack([s[0] for s in singles]))
+    assert np.array_equal(b, np.stack([s[1] for s in singles]))
+    assert np.array_equal(np.array(routh_hurwitz_margins(a)).T,
+                          [routh_hurwitz_margins(s[0]) for s in singles])
+    assert np.array_equal(spectral_abscissa(a),
+                          [spectral_abscissa(s[0]) for s in singles])
     assert np.array_equal(optimal_phase_grid(draws[0], 1.0, draws[1], draws[3]),
                           [optimal_phase_analytic(p) for p in params])
     # numpy squares an array by x * x, Python a float by pow(): they can
