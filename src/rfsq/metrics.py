@@ -143,19 +143,31 @@ def sphere_angles(params: AtomFieldParams) -> tuple[float, float]:
     return alpha, math.acos(-(m - n) / (m + n))
 
 
-def _n_minus_m(n_sq, eta):
-    """(N - M, M) over scalars or broadcastable arrays.
+def _variance_laws(n_sq, eta):
+    """((N - M) / 2, (N - M) / (N + M + 1/2)) over scalars or broadcastable arrays.
 
     N - M = N ((1 - eta^2) N - eta^2) / (N + M), which is -N / (N + M) at
     eta = 1: the plain difference cancels as N grows (7e-14 relative at
     N = 1e3, 2.5e-9 at 1e8). At N = 0 the numerator is 0 and the
-    denominator is taken as 1.
+    denominator is taken as 1. Past N ~ 1.3e154 N(N+1), and with it M,
+    overflows; there r = M/N = eta sqrt(1 + 1/N) gives N - M =
+    ((1 - eta^2) N - eta^2) / (1 + r), and since 1/2 is below the last
+    place of N, (N - M) / (N + M + 1/2) = ((1 - eta^2) - eta^2 / N) / (1 + r)^2.
     """
     xp = carrier(n_sq, eta)
-    m = decay_rates(n_sq, eta, 0.0)[0]
-    total = n_sq + m
-    excess = n_sq * ((1.0 - eta) * (1.0 + eta) * n_sq - eta * eta)
-    return excess / xp.where(total > 0.0, total, 1.0), m
+    with xp.errstate(all="ignore"):
+        m = decay_rates(n_sq, eta, 0.0)[0]
+        total = n_sq + m
+        excess = n_sq * ((1.0 - eta) * (1.0 + eta) * n_sq - eta * eta)
+        n_m = excess / xp.where(total > 0.0, total, 1.0)
+        pure = n_m / (total + 0.5)
+        huge = n_sq * (n_sq + 1.0) == xp.inf
+        if xp.any(huge):
+            one_r = 1.0 + eta * xp.sqrt(1.0 + 1.0 / n_sq)
+            low = (1.0 - eta) * (1.0 + eta)
+            n_m = xp.where(huge, (low * n_sq - eta * eta) / one_r, n_m)
+            pure = xp.where(huge, (low - eta * eta / n_sq) / (one_r * one_r), pure)
+    return n_m / 2.0, pure
 
 
 def pure_state_variance(n_sq, eta=1.0):
@@ -165,8 +177,7 @@ def pure_state_variance(n_sq, eta=1.0):
     <sz>(1 + <sz>) with <sz> = (N - M)/(N + M). Polymorphic over scalars
     and broadcastable arrays.
     """
-    n_m, m = _n_minus_m(n_sq, eta)
-    return n_m / (n_sq + m + 0.5)
+    return _variance_laws(n_sq, eta)[1]
 
 
 def input_vacuum_variance(n_sq, eta=1.0):
@@ -175,7 +186,7 @@ def input_vacuum_variance(n_sq, eta=1.0):
     (N - M) / 2 in the same normalisation, approaching -0.25 as N grows.
     Polymorphic over scalars and broadcastable arrays.
     """
-    return _n_minus_m(n_sq, eta)[0] / 2.0
+    return _variance_laws(n_sq, eta)[0]
 
 
 def full_report(params: AtomFieldParams) -> SqueezingReport:

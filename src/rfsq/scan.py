@@ -2,9 +2,14 @@
 
 A scan evaluates one metric of the steady state on a uniform grid, axis1
 outer and axis2 inner (row-major), through the closed-form kernel.
-Grids are processed in blocks so even the largest allowed scans stay
-within a modest memory footprint. Nodes are independent, so results are
-deterministic regardless of how the grid is split into blocks.
+The kernel sees the grid in blocks of at most ``BLOCK_NODES`` = 2^15
+nodes, so each float64 temporary of the kernel and the metric is 256 KiB.
+Once the first one is freed, glibc's dynamic mmap threshold serves them
+from the heap, without fresh pages, and they fit in a core's L2 cache.
+Blocks of 2^20 nodes (8 MiB temporaries) made a warm 2048 x 2048 scan
+1.3-1.6 times slower and doubled its peak memory. Nodes are independent, so
+results are deterministic regardless of how the grid is split into
+blocks.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ METRICS = ("s_theta", "s_x", "s_y", "s_pi4", "s_opt", "sigma", "sz")
 #: per-axis node cap (desk scale)
 MAX_AXIS_COUNT = 4096
 
-#: nodes evaluated per kernel call
-BLOCK_NODES = 1 << 20
+#: nodes evaluated per kernel call (see the module docstring)
+BLOCK_NODES = 1 << 15
 
 _FIXED_THETAS = {"s_x": 0.0, "s_y": math.pi / 2.0, "s_pi4": math.pi / 4.0}
 
@@ -172,7 +177,7 @@ def scan(spec: ScanSpec) -> ScanResult:
 
     Axis1 enters the kernel as a column and axis2 as a row, so the grid is
     formed by broadcasting: whatever depends on one axis alone is computed
-    once per axis value, and constant inputs stay scalars.
+    once per block, and constant inputs stay scalars.
     """
     inputs = spec.fixed.inputs()
     # start and stop are the extremes of each axis, so checking the

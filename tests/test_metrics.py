@@ -1,6 +1,7 @@
 """Quadrature variances, optimal phases, and the report aggregate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,27 @@ class TestVarianceLaws:
                 diff = big_n - big_eta * mp.sqrt(big_n * (big_n + 1))
                 laws = (pure_state_variance, input_vacuum_variance)
                 wants = (diff / (2 * big_n - diff + mp.mpf(1) / 2), diff / 2)
+                for law, array, want in zip(laws, arrays, wants):
+                    for got in (law(n, eta), array[k]):
+                        assert abs(got - want) <= 2e-15 * abs(want), (n, law)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.9, 1.0])
+    def test_laws_past_the_overflow_of_n_n_plus_one(self, eta):
+        # N(N+1) overflows from N ~ 1.3e154; N - M is written without the
+        # cancelling difference, so 50 digits resolve it at any N
+        mp = pytest.importorskip("mpmath")
+        ns = [1e150, 1.4e154, 1e200, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arrays = (pure_state_variance(np.array(ns), eta),
+                      input_vacuum_variance(np.array(ns), eta))
+        with mp.workdps(50):
+            for k, n in enumerate(ns):
+                big_n, big_eta = mp.mpf(n), mp.mpf(eta)
+                m = big_eta * mp.sqrt(big_n * (big_n + 1))
+                diff = big_n * (big_n * (1 - big_eta**2) - big_eta**2) / (big_n + m)
+                laws = (pure_state_variance, input_vacuum_variance)
+                wants = (diff / (big_n + m + mp.mpf(1) / 2), diff / 2)
                 for law, array, want in zip(laws, arrays, wants):
                     for got in (law(n, eta), array[k]):
                         assert abs(got - want) <= 2e-15 * abs(want), (n, law)

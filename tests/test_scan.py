@@ -1,6 +1,7 @@
 """Grid scans: consistency with point evaluation, determinism, validation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -170,3 +171,61 @@ def test_axis_span_overflow_is_halved_only_where_it_overflows():
     # a finite span keeps linspace's bits
     finite = AxisSpec("delta", -3.0, 7.1, 11)
     assert np.array_equal(finite.values, np.linspace(-3.0, 7.1, 11))
+
+
+_BLOCK_SPECS = [
+    ScanSpec(axis1=AxisSpec("omega", 0.0, 3.0, 257),
+             axis2=AxisSpec("phi", -math.pi, math.pi, 3),
+             fixed=AtomFieldParams(n_sq=0.2, delta=0.3), metric="s_opt"),
+    ScanSpec(axis1=AxisSpec("n_sq", 0.0, 2.0, 129),
+             axis2=AxisSpec("phi", 0.0, 2.0 * math.pi, 50),
+             fixed=AtomFieldParams(omega=0.8, delta=-0.4, eta=0.7), metric="s_x"),
+    ScanSpec(axis1=AxisSpec("omega", 0.0, 2.0, 100),
+             axis2=AxisSpec("theta", 0.0, math.pi, 6),
+             fixed=AtomFieldParams(n_sq=0.125, phi=1.0), metric="s_theta"),
+    ScanSpec(axis1=AxisSpec("theta", 0.0, math.pi, 6),
+             axis2=AxisSpec("omega", 0.0, 2.0, 100),
+             fixed=AtomFieldParams(n_sq=0.125, phi=1.0), metric="s_theta"),
+    ScanSpec(axis1=AxisSpec("delta", -5.0, 5.0, 4096),
+             fixed=AtomFieldParams(n_sq=0.3, omega=1.1, phi=2.0), metric="s_opt"),
+    # the rows past N ~ 1.3e154 fail: one run of failed nodes over many blocks
+    ScanSpec(axis1=AxisSpec("n_sq", 0.0, 1e200, 40),
+             axis2=AxisSpec("phi", 0.0, math.pi, 3),
+             fixed=AtomFieldParams(omega=1.0), metric="s_x"),
+]
+
+
+@pytest.mark.parametrize("block_nodes", [1, 7, 1 << 20])
+@pytest.mark.parametrize("spec", _BLOCK_SPECS,
+                         ids=["omega-phi", "n_sq-phi", "omega-theta",
+                              "theta-omega", "delta", "n_sq-overflow"])
+def test_block_size_changes_no_output(monkeypatch, spec, block_nodes):
+    default = scan(spec)
+    # ``rfsq.scan`` is the function; the submodule lives in sys.modules
+    monkeypatch.setattr(sys.modules["rfsq.scan"], "BLOCK_NODES", block_nodes)
+    blocked = scan(spec)
+    assert blocked.values.tobytes() == default.values.tobytes()
+    assert blocked.errors == default.errors
+    if spec.axis1.stop == 1e200:
+        assert len(default.errors) == 1 and default.failed_nodes() > 3
+
+
+def test_kernel_calls_stay_within_the_block(monkeypatch):
+    # every float64 temporary of a block is at most 2^15 * 8 B = 256 KiB
+    from rfsq import backends
+
+    real = backends.steady_grid
+    sizes = []
+
+    def counted(*inputs):
+        sx, sy, sz = real(*inputs)
+        sizes.append(sz.size)
+        return sx, sy, sz
+
+    monkeypatch.setattr(backends, "steady_grid", counted)
+    result = scan(ScanSpec(axis1=AxisSpec("omega", 0.0, 3.0, 2048),
+                           axis2=AxisSpec("phi", -math.pi, math.pi, 2048),
+                           fixed=AtomFieldParams(n_sq=0.2, delta=0.3)))
+    assert not result.errors
+    assert max(sizes) <= 1 << 15
+    assert sum(sizes) == 2048 * 2048
