@@ -17,8 +17,8 @@ line 'error: <kind>: <detail>' on stderr, and warnings one line each,
 'warning: <kind>: <detail>'.
 
 Each command imports what it runs when it runs: report, steady, pure,
-crossover, --help, --version and every validation error never load
-numpy, while scan, figure, optimize, verify and --format csv do.
+optimize, crossover, --help, --version and every validation error never
+load numpy, while scan, figure, verify and --format csv do.
 """
 
 from __future__ import annotations

@@ -14,11 +14,10 @@ modulo pi.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 
-from ._carrier import SCALAR, carrier
+from ._carrier import SCALAR, carrier, libm
 from .bloch import BlochState, steady_state
 from .errors import NumericalError
 from .params import AtomFieldParams, _rates, decay_rates
@@ -96,16 +95,6 @@ def optimal_variance(state: BlochState) -> float:
     return value
 
 
-@functools.cache
-def _atan2_ufunc():
-    """libm's atan2, elementwise. numpy's own arctan2 differs from it in the
-    last place at about 7% of the Bloch-sweep points, and there libm's is
-    nearly always the closer to the exact angle."""
-    import numpy as np
-
-    return np.frompyfunc(math.atan2, 2, 1)
-
-
 def _longitude(n_sq, eta, phi, delta):
     """(alpha, M): the optimal quadrature phase before reduction, and M."""
     xp = carrier(n_sq, eta, phi, delta)
@@ -113,9 +102,9 @@ def _longitude(n_sq, eta, phi, delta):
     # gamma_x > 0 always, so alpha lands in (0, pi), at pi/2 for a zero
     # second argument
     u = delta + m * xp.sin(phi)
-    if xp is SCALAR:
-        return math.atan2(gamma_x, u), m
-    return xp.asarray(_atan2_ufunc()(gamma_x, u), dtype=float), m
+    # libm's atan2 is nearly always the closer to the exact angle where
+    # numpy's differs from it (about 7% of the Bloch-sweep points)
+    return libm(xp, math.atan2, 2)(gamma_x, u), m
 
 
 def optimal_phase_grid(n_sq, eta, phi, delta):

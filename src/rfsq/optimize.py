@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from ._carrier import carrier
+from . import backends
+from ._carrier import SCALAR, carrier, libm
 from .bloch import BlochState, steady_state_grid
 from .errors import CertificationFailedError, NumericalError, ValidationError
 from .metrics import optimal_phase_analytic
-from .params import AtomFieldParams, _rates, decay_rates
+from .params import AtomFieldParams, _rates
 
 #: hard floor of the variance in this normalisation
 VARIANCE_BOUND = -0.25
@@ -107,25 +108,117 @@ def _scaled_optima(xp, n_sq, eta, phi, delta, theta=None):
     return e, w_min, s_min, w_pure, sigma_max
 
 
-def _real_roots(coeffs):
-    """Real parts of the roots of cubics, one per row of coefficients.
+def _cubic_roots(xp, c3, c2, c1, c0):
+    """The three roots of c3 y^3 + c2 y^2 + c1 y + c0, or their real parts.
 
-    Coefficients run from the highest power down. A leading coefficient
-    below 1e-100 of the largest moves to the end, which multiplies the
-    polynomial by delta: the lost root reads as 0.
+    A leading coefficient at most 1e-100 of the coefficients' sum moves
+    to the end, which multiplies the cubic by y (up to three times, the
+    zero polynomial's roots reading 0): the lost root, past 1e100 times
+    the others, reads as 0. The monic cubic, shifted by b/3 to
+    t^3 + p t + 2s, has three real roots where s^2 + (p/3)^3 < 0, taken
+    in trigonometric form, and otherwise one, Cardano's u + v. Two Newton
+    steps on the monic cubic polish each real root; a complex pair gives
+    its real part, twice.
     """
-    import numpy as np
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = coeffs / np.max(np.abs(coeffs), axis=-1, keepdims=True)
-    c = np.where(np.isfinite(c), c, 0.0)
+    tiny = 1e-100 * (xp.abs(c3) + xp.abs(c2) + xp.abs(c1) + xp.abs(c0))
     for _ in range(3):
-        c = np.where(np.abs(c[..., :1]) > 1e-100, c, np.roll(c, -1, axis=-1))
-    lead = np.where(c[..., :1] == 0.0, 1.0, c[..., :1])  # a zero polynomial: roots 0
-    companion = np.zeros(c.shape[:-1] + (3, 3))
-    companion[..., 0, :] = -c[..., 1:] / lead
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    return np.linalg.eigvals(companion).real
+        low = xp.abs(c3) <= tiny
+        c3, c2, c1, c0 = (xp.where(low, x, y)
+                          for x, y in zip((c2, c1, c0, c3), (c3, c2, c1, c0)))
+    lead = xp.where(c3 == 0.0, 1.0, c3)
+    b, c, d = c2 / lead, c1 / lead, c0 / lead
+    h = b / 3.0
+    r = (c - 3.0 * h * h) / 3.0  # p/3
+    s = (d - h * (c - 2.0 * h * h)) / 2.0
+    disc = s * s + r * r * r
+    three = disc < 0.0
+    # three real roots (r < 0): t = 2 sqrt(-r) cos(phi/3 - 2 pi k/3)
+    rad = xp.sqrt(xp.abs(r))
+    cos3 = xp.clip(xp.divide(-s, xp.abs(r) * rad), -1.0, 1.0)
+    third = libm(xp, math.acos)(cos3) / 3.0
+    trig = [2.0 * rad * xp.cos(third - k * (2.0 * math.pi / 3.0)) for k in range(3)]
+    # one: u^3 = -s - sign(s) sqrt(disc) does not cancel, and u v = -r
+    u = xp.copysign(_cbrt(xp, xp.abs(s) + xp.sqrt(xp.abs(disc))), -s)
+    real = u + xp.where(u == 0.0, 0.0, xp.divide(-r, u))
+
+    def polish(y):
+        for _ in range(2):
+            step = xp.divide(((y + b) * y + c) * y + d, (3.0 * y + 2.0 * b) * y + c)
+            y = xp.where(xp.isfinite(step), y - step, y)
+        return y
+
+    first = polish(xp.where(three, trig[0], real) - h)
+    pair = -0.5 * (b + first)  # the three roots sum to -b
+    return [first] + [xp.where(three, polish(t - h), pair) for t in trig[1:]]
+
+
+def _cbrt(xp, x):
+    """The cube root of x >= 0: libm's x^(1/3), then one Newton step.
+
+    The step, y - (y - x/y^2)/3, forms no power of y past its square, so
+    it neither overflows nor underflows; at x = 0 or inf it is NaN and is
+    skipped. (math.cbrt is new in Python 3.11.)
+    """
+    y = libm(xp, math.pow, 2)(x, 1.0 / 3.0)
+    step = xp.divide(y - xp.divide(x, y * y), 3.0)
+    return xp.where(xp.isfinite(step), y - step, y)
+
+
+def _candidates(xp, n_sq, eta, phi, bounds):
+    """The box minimum's candidate detunings, before clipping (see
+    ``minimize_variance_batch``): the two ends, delta = 0 and the roots
+    of a delta^2 - (q - a^2 - gamma_x^2) delta - q a, where x = R/(gamma_x
+    L) is stationary (a = M sin Phi), then three roots for each cubic.
+    """
+    (w_lo, w_hi), (d_lo, d_hi) = bounds
+    m, q, gx, _, gz = _rates(xp, n_sq, eta, phi)
+    a = m * xp.sin(phi)
+    # the roots' product is -q; the larger one is formed without cancelling
+    b = q - a * a - gx * gx
+    big = b + xp.copysign(xp.sqrt(b * b + 4.0 * a * a * q), b)
+    deltas = [d_lo, d_hi, 0.0, xp.divide(big, 2.0 * a), xp.divide(-2.0 * q * a, big)]
+    for omega in (w_lo, w_hi):
+        # the cubic in y = delta / 2^k, divided by 2^(3k): with 2^k > omega,
+        # an exact scaling, its coefficients stay finite at any omega
+        # (2^k itself is not formed: for omega >= 2^1023 it overflows)
+        k = max(math.frexp(omega)[1], 0)
+        t = math.ldexp(1.0, -k)
+        load = gz * q * t * t + gx * (omega * t) ** 2
+        roots = _cubic_roots(xp, gz * (gx - 1.0), -3.0 * a * gz * t,
+                             (gx + 1.0) * load - 2.0 * gz * (a * a + gx * gx) * t * t,
+                             a * load * t)
+        deltas += [xp.ldexp(y, k) for y in roots]
+    return deltas
+
+
+def _box_minimum(xp, n_sq, eta, phi, bounds):
+    """(omega, delta, value) at the least candidate on the namespace xp.
+
+    On SCALAR each candidate is evaluated in turn; on numpy, n_sq and phi
+    are columns and the candidates of all problems are evaluated at once.
+    """
+    deltas = _candidates(xp, n_sq, eta, phi, bounds)
+    if xp is SCALAR:
+        # min keeps the first of equal values, as argmin does
+        return min((_evaluate(xp, n_sq, eta, phi, delta, bounds) for delta in deltas),
+                   key=lambda candidate: candidate[2])
+    columns = _evaluate(xp, n_sq, eta, phi,
+                        xp.concatenate(xp.broadcast_arrays(*deltas), axis=1), bounds)
+    i = xp.argmin(columns[2], axis=1)[:, None]
+    return tuple(xp.take_along_axis(x, i, axis=1)[:, 0] for x in columns)
+
+
+def _evaluate(xp, n_sq, eta, phi, delta, bounds):
+    """(omega, delta, S_opt) at a candidate delta clipped into the box, with
+    the drive w_min clipped into it; a state that overflowed (NaN) gives
+    S_opt = inf, which ranks below every finite value."""
+    (w_lo, w_hi), (d_lo, d_hi) = bounds
+    delta = xp.clip(delta, d_lo, d_hi)
+    w_min = drive_optima(n_sq, eta, phi, delta)[0]
+    # an overflowed (NaN) optimum takes omega = w_lo
+    omega = xp.clip(xp.sqrt(xp.where(w_min > 0.0, w_min, 0.0)), w_lo, w_hi)
+    value = BlochState(*backends._steady(xp, n_sq, eta, phi, omega, delta)).s_opt
+    return omega, delta, xp.where(xp.isnan(value), xp.inf, value)
 
 
 def minimize_variance_batch(n_sq, phi, bounds, eta: float = 1.0):
@@ -135,52 +228,23 @@ def minimize_variance_batch(n_sq, phi, bounds, eta: float = 1.0):
     are broadcastable 1-D arrays, one entry per problem. At each delta
     the drive is w_min of ``drive_optima`` clipped into the box, and that
     profile is least at one of these candidates, clipped into the box:
-    the ends of the delta range; the roots of the quadratic where
-    x = R/(gamma_x L) is stationary (unclipped, S_opt at w_min falls as
-    x rises past 1); and the roots of the cubics where dS_opt/ddelta = 0
-    at w = omega_lo^2 and w = omega_hi^2. Where the clipping switches,
-    the profile is smooth (dS_opt/dw = 0 at w_min), so the minimum is
-    exact. A zero-width side freezes that coordinate. Returns the arrays
-    (omega, delta, value); a candidate whose steady state overflows
-    counts as inf, so ``value`` is inf only where every candidate did.
+    the ends of the delta range; delta = 0 and the roots of the quadratic
+    where x = R/(gamma_x L) is stationary (unclipped, S_opt at w_min
+    falls as x rises past 1); and the roots of the cubics where
+    dS_opt/ddelta = 0 at w = omega_lo^2 and w = omega_hi^2. Where the
+    clipping switches, the profile is smooth (dS_opt/dw = 0 at w_min), so
+    the minimum is exact. A zero-width side freezes that coordinate.
+    Returns the arrays (omega, delta, value); a candidate whose steady
+    state overflows counts as inf, so ``value`` is inf only where every
+    candidate did.
     """
     import numpy as np
 
-    for name, side in zip(("omega", "delta"), bounds):
-        check_box_side(name, *side)
-    (w_lo, w_hi), (d_lo, d_hi) = bounds
+    bounds = _checked_box(bounds)
     n_sq, phi = (x[:, None] for x in np.broadcast_arrays(
         np.asarray(n_sq, dtype=float), np.asarray(phi, dtype=float)))
     with np.errstate(all="ignore"):
-        m, q, gx, _, gz = decay_rates(n_sq, eta, phi)
-        a = m * np.sin(phi)
-        # the quadratic (times delta, so delta = 0 joins the candidates)
-        polys, shifts = [[-a, q - a * a - gx * gx, q * a, 0.0 * a]], [0]
-        for omega in (w_lo, w_hi):
-            # the cubic in y = delta / 2^k, divided by 2^(3k): with 2^k > omega,
-            # an exact scaling, its coefficients stay finite at any omega
-            # (2^k itself is not formed: for omega >= 2^1023 it overflows)
-            k = max(math.frexp(omega)[1], 0)
-            t = math.ldexp(1.0, -k)
-            load = gz * q * t * t + gx * (omega * t) ** 2
-            polys.append([gz * (gx - 1.0), -3.0 * a * gz * t,
-                          (gx + 1.0) * load - 2.0 * gz * (a * a + gx * gx) * t * t,
-                          a * load * t])
-            shifts.append(k)
-        roots = _real_roots(np.stack([np.concatenate(p, axis=1) for p in polys], 1))
-        deltas = np.clip(np.concatenate(
-            [np.full((len(n_sq), 2), (d_lo, d_hi)),
-             np.ldexp(roots, np.array(shifts)[:, None]).reshape(len(n_sq), -1)],
-            axis=1), d_lo, d_hi)
-        # fmax maps an overflowed (NaN) optimum to omega = w_lo
-        omegas = np.clip(np.sqrt(np.fmax(drive_optima(n_sq, eta, phi, deltas)[0], 0.0)),
-                         w_lo, w_hi)
-        values = BlochState(*steady_state_grid(n_sq, eta, phi, omegas, deltas)).s_opt
-    # a candidate whose state overflowed (NaN) ranks below every finite one
-    values = np.where(np.isnan(values), np.inf, values)
-    i = np.argmin(values, axis=1)[:, None]
-    return tuple(np.take_along_axis(x, i, axis=1)[:, 0]
-                 for x in (omegas, deltas, values))
+        return _box_minimum(np, n_sq, eta, phi, bounds)
 
 
 def minimize_variance(
@@ -191,12 +255,16 @@ def minimize_variance(
 ) -> OptimumReport:
     """Minimise the optimal-quadrature variance over an (omega, delta) box.
 
-    ``minimize_variance_batch`` for one problem. The reported theta is
+    ``minimize_variance_batch`` for one problem, on Python floats without
+    numpy; the same candidates give the same bits. The reported theta is
     the analytic optimal phase at the located minimum. Raises
-    NumericalError when the steady state overflows at every candidate.
+    ValidationError for an invalid n_sq, eta or phi and NumericalError
+    when the steady state overflows at every candidate.
     """
-    omega, delta, value = (
-        float(x[0]) for x in minimize_variance_batch([n_sq], [phi], bounds, eta))
+    # the inputs are checked first: math raises on what numpy makes NaN
+    AtomFieldParams(n_sq=n_sq, eta=eta, phi=phi)
+    omega, delta, value = _box_minimum(SCALAR, float(n_sq), float(eta), float(phi),
+                                       _checked_box(bounds))
     if not math.isfinite(value):
         raise NumericalError(
             f"the steady state overflows throughout the search box {bounds!r}")
@@ -204,6 +272,13 @@ def minimize_variance(
                              delta=delta)
     return OptimumReport(omega=omega, delta=delta,
                          theta=optimal_phase_analytic(params), value=value)
+
+
+def _checked_box(bounds):
+    """The box's bounds as floats, each side checked (``check_box_side``)."""
+    for name, side in zip(("omega", "delta"), bounds):
+        check_box_side(name, *side)
+    return tuple((float(lo), float(hi)) for lo, hi in bounds)
 
 
 def find_crossover(eta: float = 1.0) -> float:

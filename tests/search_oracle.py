@@ -1,17 +1,21 @@
-"""Reference oracle for the box search: one problem at a time, in scalars.
+"""Reference oracles for the box search.
 
-The search that the exact candidate enumeration of
+``scalar_search`` is the search that the exact candidate enumeration of
 ``optimize.minimize_variance_batch`` replaced: the best of ``coarse``
 detunings, refined by a scalar golden-section loop between its
-neighbours. The enumeration must never be above it.
+neighbours, one problem at a time. ``eigvals_minimum`` enumerates the
+same candidates as the library but roots the polynomials with LAPACK's
+eigenvalues of companion matrices, as the library did before its closed
+forms. The enumeration must never be above either.
 """
 
 import math
 
 import numpy as np
 
-from rfsq.bloch import steady_state_grid
+from rfsq.bloch import BlochState, steady_state_grid
 from rfsq.optimize import drive_optima
+from rfsq.params import decay_rates
 
 #: iteration cap of the golden-section refinement over delta
 GOLDEN_MAX_ITER = 200
@@ -85,3 +89,54 @@ def grid_minimum(n_sq, phi, bounds, eta=1.0, nodes=400):
                                        delta[None, :])
         value = 1.0 + sz - sx * sx - sy * sy
     return np.where(np.isnan(value), np.inf, value).min(axis=(1, 2))
+
+
+def _real_roots(coeffs):
+    """Real parts of the roots of cubics, one per row of coefficients.
+
+    Coefficients run from the highest power down. A leading coefficient
+    below 1e-100 of the largest moves to the end, which multiplies the
+    polynomial by delta: the lost root reads as 0.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = coeffs / np.max(np.abs(coeffs), axis=-1, keepdims=True)
+    c = np.where(np.isfinite(c), c, 0.0)
+    for _ in range(3):
+        c = np.where(np.abs(c[..., :1]) > 1e-100, c, np.roll(c, -1, axis=-1))
+    lead = np.where(c[..., :1] == 0.0, 1.0, c[..., :1])  # a zero polynomial: roots 0
+    companion = np.zeros(c.shape[:-1] + (3, 3))
+    companion[..., 0, :] = -c[..., 1:] / lead
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    return np.linalg.eigvals(companion).real
+
+
+def eigvals_minimum(n_sq, phi, bounds, eta=1.0):
+    """(omega, delta, value) arrays of the box minima, with every candidate
+    rooted by ``_real_roots``: the quadratic times delta, and the cubics."""
+    (w_lo, w_hi), (d_lo, d_hi) = bounds
+    n_sq, phi = (x[:, None] for x in np.broadcast_arrays(
+        np.asarray(n_sq, dtype=float), np.asarray(phi, dtype=float)))
+    with np.errstate(all="ignore"):
+        m, q, gx, _, gz = decay_rates(n_sq, eta, phi)
+        a = m * np.sin(phi)
+        polys, shifts = [[-a, q - a * a - gx * gx, q * a, 0.0 * a]], [0]
+        for omega in (w_lo, w_hi):
+            k = max(math.frexp(omega)[1], 0)
+            t = math.ldexp(1.0, -k)
+            load = gz * q * t * t + gx * (omega * t) ** 2
+            polys.append([gz * (gx - 1.0), -3.0 * a * gz * t,
+                          (gx + 1.0) * load - 2.0 * gz * (a * a + gx * gx) * t * t,
+                          a * load * t])
+            shifts.append(k)
+        roots = _real_roots(np.stack([np.concatenate(p, axis=1) for p in polys], 1))
+        deltas = np.clip(np.concatenate(
+            [np.full((len(n_sq), 2), (d_lo, d_hi)),
+             np.ldexp(roots, np.array(shifts)[:, None]).reshape(len(n_sq), -1)],
+            axis=1), d_lo, d_hi)
+        omegas = np.clip(np.sqrt(np.fmax(drive_optima(n_sq, eta, phi, deltas)[0], 0.0)),
+                         w_lo, w_hi)
+        values = BlochState(*steady_state_grid(n_sq, eta, phi, omegas, deltas)).s_opt
+    values = np.where(np.isnan(values), np.inf, values)
+    i = np.argmin(values, axis=1)[:, None]
+    return tuple(np.take_along_axis(x, i, axis=1)[:, 0]
+                 for x in (omegas, deltas, values))

@@ -76,10 +76,10 @@ for argv in runs:
 counts = {}
 for name, _, _, _, count in tracer.spans:
     counts.setdefault(name, []).append(count)
-# array calls alone: optimize's box candidates, then the scan's 256 nodes;
-# the other point commands evaluate their states on Python floats
+# one array call alone, the scan's 256 nodes: the point commands,
+# optimize's box candidates included, evaluate their states on Python floats
 for name in ("backends.steady_grid", "bloch.steady_state_grid"):
-    assert len(counts[name]) == 2 and counts[name][1] == 256, counts
+    assert counts[name] == [256], counts
     assert all(type(c) is int and c > 0 for c in counts[name]), counts
 print(sorted(counts))
 """

@@ -592,7 +592,9 @@ COLD_COMMANDS = [
     (["--version"], False),
     (["report", "--n", "nan"], False),
     (["optimize", "--n", "0.125", "--phi", "0.5pi", "--box", "omega:0:3,delta:0:2"],
-     True),
+     False),
+    (["optimize", "--n", "0.125", "--phi", "pi", "--box",
+      "omega:0:3e6,delta:1e6:1000010"], False),
     (["scan", "--metric", "s_x", "--axis1", "omega:0:3:4"], True),
     (["figure", "4"], True),
     (["verify", "--fast"], True),
@@ -613,6 +615,17 @@ def test_commands_do_not_import_scipy(tmp_path):
         assert proc.returncode == (1 if "nan" in argv else 0), (argv, proc.stderr)
         assert ("numpy" in imported) is loads_numpy, argv
         assert "scipy" not in imported, argv
+
+
+def test_optimize_prints_the_pinned_bytes(capsys):
+    # the benchmark's N = 1/8 draws and boxes from Omega <= 3 to 1e308; the
+    # file holds each argv with its exit code, stdout and stderr
+    golden = json.loads((Path(__file__).parent / "optimize_golden.json").read_text())
+    assert len(golden) == 27
+    for case in golden:
+        code, out, err = run(capsys, *case["argv"])
+        assert (code, out, err) == (case["code"], case["stdout"], case["stderr"]), \
+            case["argv"]
 
 
 def test_the_csv_codec_loads_only_for_csv(tmp_path):

@@ -20,10 +20,11 @@ from rfsq import (
 )
 from rfsq.bloch import steady_state_grid
 from rfsq.errors import NumericalError, ValidationError
-from rfsq.optimize import drive_optima, minimize_variance_batch
+from rfsq._carrier import SCALAR
+from rfsq.optimize import _cbrt, _cubic_roots, drive_optima, minimize_variance_batch
 from rfsq.verify import _min_over_omega
 
-from search_oracle import grid_minimum, scalar_search
+from search_oracle import eigvals_minimum, grid_minimum, scalar_search
 
 BOX = ((0.0, 3.0), (0.0, 2.0))
 
@@ -71,6 +72,17 @@ class TestMinimizeVariance:
     def test_box_check(self, bounds, message):
         with pytest.raises(ValidationError, match=message):
             minimize_variance(0.2, 0.0, bounds)
+
+    @pytest.mark.parametrize("n_sq,eta,phi,message", [
+        (-0.5, 1.0, 0.0, "n_sq must be non-negative"),   # N(N+1) < 0
+        (0.2, 1.5, 0.0, "eta must lie in"),
+        (0.2, 1.0, math.inf, "phi must be finite"),
+        (0.2, 1.0, math.nan, "phi must be finite"),
+    ])
+    def test_bad_inputs_are_rejected(self, n_sq, eta, phi, message):
+        # on Python floats math raises its own ValueError where numpy gave NaN
+        with pytest.raises(ValidationError, match=message):
+            minimize_variance(n_sq, phi, BOX, eta)
 
     def test_frozen_box_is_one_evaluation(self):
         report = minimize_variance(0.2, 1.0, ((0.5, 0.5), (0.3, 0.3)))
@@ -200,6 +212,69 @@ def test_exact_minimum_over_seeded_boxes():
                          value - grid_minimum([n_sq], [phi], bounds, eta)[0])
     assert worst_oracle <= 1e-13
     assert worst_grid <= 0.0
+
+
+@pytest.mark.parametrize("coeffs,want", [
+    ((1.0, -6.0, 11.0, -6.0), [1.0, 2.0, 3.0]),        # three real roots
+    ((1.0, -3.0, 3.0, -1.0), [1.0, 1.0, 1.0]),         # a triple root
+    ((1.0, -2.0, 1.0, -2.0), [2.0, 0.0, 0.0]),         # 2 and the pair 0 +- i
+    ((-2.0, 0.0, 0.0, 2.0), [1.0, -0.5, -0.5]),        # 1 and -1/2 +- i sqrt(3)/2
+    ((0.0, 1.0, -3.0, 2.0), [0.0, 1.0, 2.0]),          # the lost root reads 0
+    ((1e-101, 1.0, -3.0, 2.0), [0.0, 1.0, 2.0]),
+    ((0.0, 0.0, 0.0, 0.0), [0.0, 0.0, 0.0]),           # the zero polynomial
+])
+def test_cubic_roots(coeffs, want):
+    for xp, args in ((SCALAR, coeffs), (np, [np.asarray(c) for c in coeffs])):
+        with xp.errstate(all="ignore"):
+            got = sorted(float(y) for y in _cubic_roots(xp, *args))
+        assert got == pytest.approx(sorted(want), abs=1e-15)
+
+
+def test_no_math_cbrt_needed(monkeypatch):
+    # math.cbrt is new in Python 3.11; the package supports 3.10
+    monkeypatch.delattr(math, "cbrt", raising=False)
+    for xp, args in ((SCALAR, (1.0, -2.0, 1.0, -2.0)),
+                     (np, [np.asarray(c) for c in (1.0, -2.0, 1.0, -2.0)])):
+        with xp.errstate(all="ignore"):
+            assert [float(y) for y in _cubic_roots(xp, *args)] == [2.0, 0.0, 0.0]
+    report = minimize_variance(0.125, 1.0, BOX)
+    assert report.value == pytest.approx(-0.25, abs=1e-15)
+    value = minimize_variance_batch([0.125, 0.3], [1.0, 2.0], BOX)[2]
+    assert value[0] == report.value
+
+
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1e-300, 0.125, 2.0, 27.0, 1e300,
+                               1.7976931348623157e308, math.inf])
+def test_cube_root(x):
+    mpmath = pytest.importorskip("mpmath")
+    for xp, arg in ((SCALAR, x), (np, np.asarray(x))):
+        with xp.errstate(all="ignore"):
+            got = float(_cbrt(xp, arg))
+        want = float(mpmath.cbrt(mpmath.mpf(x))) if math.isfinite(x) else x
+        assert got == pytest.approx(want, rel=2.3e-16, abs=0.0)
+
+
+#: boxes from the paper's Omega <= 3 up to Omega <= 1e308, where the
+#: cubics' 2^k scaling is largest
+ORACLE_BOXES = [((0.0, 3.0), (0.0, 2.0)), ((0.5, 30.0), (-10.0, 10.0)),
+                ((0.0, 1e5), (-1e6, 1e6)), ((1e3, 1e308), (-1e300, 1e300))]
+
+
+def test_box_minimum_matches_the_eigvals_oracle():
+    """160,000 seeded problems, N log-uniform on [1e-4, 1e2]: the closed-form
+    roots' minimum is never above that of the companion-matrix eigenvalues
+    by more than 2e-15 max(1, |S|), about the rounding of S_opt itself."""
+    rng = np.random.default_rng(24)
+    for bounds in ORACLE_BOXES:
+        for eta in (1.0, 0.9):
+            n_sq = 10.0 ** rng.uniform(-4.0, 2.0, 20_000)
+            phi = rng.uniform(0.0, 2.0 * math.pi, 20_000)
+            value = minimize_variance_batch(n_sq, phi, bounds, eta)[2]
+            oracle = eigvals_minimum(n_sq, phi, bounds, eta)[2]
+            assert np.all(np.isfinite(value)) and np.all(np.isfinite(oracle))
+            excess = (value - oracle) / np.maximum(1.0, np.abs(oracle))
+            k = int(np.argmax(excess))
+            assert excess[k] <= 2e-15, (bounds, eta, n_sq[k], phi[k], excess[k])
 
 
 @pytest.mark.filterwarnings("error")

@@ -8,7 +8,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from rfsq import backends, metrics  # noqa: E402
+from rfsq import backends, metrics, optimize  # noqa: E402
 from rfsq._carrier import SCALAR  # noqa: E402
 from rfsq.bloch import BlochState, steady_state  # noqa: E402
 from rfsq.errors import NumericalError  # noqa: E402
@@ -140,12 +140,25 @@ def _agree(scalar_results, array_results):
 @example(n_sq=0.125, eta=1.0, phi=0.0, omega=0.0, delta=0.0, theta=0.0)
 # both scalings, and omega^2 overflowing
 @example(n_sq=1e-6, eta=0.0, phi=1e300, omega=1e300, delta=-1e300, theta=1e3)
+# gamma_x = 1 and a = 0: the cubics' leading coefficients vanish
+@example(n_sq=0.125, eta=1.0, phi=0.0, omega=3.0, delta=-1.0, theta=0.0)
+@example(n_sq=0.5, eta=0.0, phi=1.0, omega=3.0, delta=2.0, theta=0.0)
+# numpy's own arccos would move a cubic's root here by an ulp
+@example(n_sq=0.005803342830615528, eta=1.0, phi=3.0791332311174844,
+         omega=0.25043738473108484, delta=2.954780711171079, theta=0.0)
 def test_the_scalar_carrier_gives_the_numpy_bits(n_sq, eta, phi, omega, delta,
                                                  theta):
     # Python floats take the math shim, 0-d arrays numpy (see rfsq._carrier)
     floats = (n_sq, eta, phi, omega, delta)
     arrays = tuple(np.asarray(x) for x in floats)
     with np.errstate(all="ignore"):
+        # the box minimum's candidates and the minimum itself, over a box
+        # with a corner at the origin and one at (omega, delta)
+        box = ((0.0, omega), (min(delta, 0.0), max(delta, 0.0)))
+        _agree(optimize._candidates(SCALAR, n_sq, eta, phi, box),
+               optimize._candidates(np, *arrays[:3], box))
+        _agree(optimize._box_minimum(SCALAR, n_sq, eta, phi, box),
+               optimize.minimize_variance_batch([n_sq], [phi], box, eta))
         _agree(decay_rates(n_sq, eta, phi), decay_rates(*arrays[:3]))
         grid = backends.steady_grid(*floats)
         _agree(backends._steady(SCALAR, *floats), grid)
