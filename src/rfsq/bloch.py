@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import backends
-from ._carrier import SCALAR
+from ._carrier import SCALAR, carrier, writer
 from .errors import NumericalError
 from .params import AtomFieldParams
 
@@ -43,12 +43,12 @@ class BlochState:
     @property
     def sigma(self) -> float:
         """Squared Bloch-vector length; 1 marks a pure (fully polarised) state."""
-        return self.sx * self.sx + self.sy * self.sy + self.sz * self.sz
+        return sigma_xyz(self.sx, self.sy, self.sz)
 
     @property
     def s_opt(self) -> float:
         """Variance of the optimal quadrature (see ``metrics``); -1/4 is the floor."""
-        return 1.0 + self.sz - self.sx * self.sx - self.sy * self.sy
+        return s_opt_xyz(self.sx, self.sy, self.sz)
 
     def as_array(self) -> np.ndarray:
         import numpy as np
@@ -58,6 +58,26 @@ class BlochState:
     @classmethod
     def ground(cls) -> "BlochState":
         return cls(0.0, 0.0, -1.0)
+
+
+def sigma_xyz(sx, sy, sz, work=None):
+    """sx^2 + sy^2 + sz^2 from raw Bloch components; polymorphic over
+    arrays. With a bound ``_carrier.Workspace``, a result that fills the
+    block is written into its output slice."""
+    xp = carrier(sx, sy, sz)
+    put, last = writer(work, sx, sy, sz)
+    mul = xp.multiply
+    return last(xp.add, put(xp.add, put(mul, sx, sx), put(mul, sy, sy)),
+                put(mul, sz, sz))
+
+
+def s_opt_xyz(sx, sy, sz, work=None):
+    """1 + sz - sx^2 - sy^2 from raw Bloch components (see sigma_xyz)."""
+    xp = carrier(sx, sy, sz)
+    put, last = writer(work, sx, sy, sz)
+    sub, mul = xp.subtract, xp.multiply
+    return last(sub, put(sub, put(xp.add, 1.0, sz), put(mul, sx, sx)),
+                put(mul, sy, sy))
 
 
 def steady_state(params: AtomFieldParams) -> BlochState:
@@ -81,16 +101,20 @@ def _steady_state(xp, params: AtomFieldParams) -> BlochState:
     return BlochState(sx, sy, sz)
 
 
-def steady_state_grid(n_sq, eta, phi, omega, delta):
+def steady_state_grid(n_sq, eta, phi, omega, delta, work=None):
     """Steady Bloch vectors over broadcastable parameter arrays.
 
     Returns three float64 arrays (sx, sy, sz) in the broadcast shape.
     Constant inputs stay scalars: nothing is expanded to the grid size.
+    With a ``_carrier.Workspace`` (what ``scan`` passes, bound to one
+    block), a component that fills the block is a view of a workspace
+    buffer, overwritten by the next call with that workspace.
     """
     import numpy as np
 
     return backends.steady_grid(
-        *(np.asarray(x, dtype=float) for x in (n_sq, eta, phi, omega, delta))
+        *(np.asarray(x, dtype=float) for x in (n_sq, eta, phi, omega, delta)),
+        work=work,
     )
 
 

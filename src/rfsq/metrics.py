@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from ._carrier import SCALAR, carrier, libm
+from ._carrier import SCALAR, carrier, libm, writer
 from .bloch import BlochState, steady_state
 from .errors import NumericalError
 from .params import AtomFieldParams, _rates, decay_rates
@@ -60,11 +60,17 @@ class SqueezingReport:
         return asdict(self)
 
 
-def variance_theta_xyz(sx, sy, sz, theta):
-    """S_theta from raw Bloch components; polymorphic over arrays."""
+def variance_theta_xyz(sx, sy, sz, theta, work=None):
+    """S_theta from raw Bloch components; polymorphic over arrays. With a
+    bound ``_carrier.Workspace``, a result that fills the block is written
+    into its output slice."""
     xp = carrier(sx, sy, sz, theta)
-    coherence = sx * xp.cos(theta) - sy * xp.sin(theta)
-    return 1.0 + sz - coherence * coherence
+    put, last = writer(work, sx, sy, sz, theta)
+    mul = xp.multiply
+    # coherence = sx cos(theta) - sy sin(theta)
+    coherence = put(xp.subtract, put(mul, sx, put(xp.cos, theta)),
+                    put(mul, sy, put(xp.sin, theta)))
+    return last(xp.subtract, put(xp.add, 1.0, sz), put(mul, coherence, coherence))
 
 
 def variance_theta(state: BlochState, theta: float) -> float:
@@ -98,7 +104,7 @@ def optimal_variance(state: BlochState) -> float:
 def _longitude(n_sq, eta, phi, delta):
     """(alpha, M): the optimal quadrature phase before reduction, and M."""
     xp = carrier(n_sq, eta, phi, delta)
-    m, _, gamma_x, _, _ = _rates(xp, n_sq, eta, phi)
+    m, _, gamma_x, _ = _rates(xp, n_sq, eta, phi)
     # gamma_x > 0 always, so alpha lands in (0, pi), at pi/2 for a zero
     # second argument
     u = delta + m * xp.sin(phi)

@@ -88,7 +88,7 @@ def _scaled_optima(xp, n_sq, eta, phi, delta, theta=None):
     2^e the binary order of delta past 2^200, else e = 0. The drive
     sqrt(w) = 2^e sqrt(w / 4^e) is finite where w itself overflows.
     """
-    m, q, gx, _, gz = _rates(xp, n_sq, eta, phi)
+    m, q, gx, gz = _rates(xp, n_sq, eta, phi)
     u = delta + m * xp.sin(phi)
     e = xp.where(xp.abs(delta) > 2.0**200, xp.frexp(delta)[1], 0)
     delta, u, gx_r = (xp.ldexp(x, -e) for x in (delta, u, gx))
@@ -171,7 +171,7 @@ def _candidates(xp, n_sq, eta, phi, bounds):
     L) is stationary (a = M sin Phi), then three roots for each cubic.
     """
     (w_lo, w_hi), (d_lo, d_hi) = bounds
-    m, q, gx, _, gz = _rates(xp, n_sq, eta, phi)
+    m, q, gx, gz = _rates(xp, n_sq, eta, phi)
     a = m * xp.sin(phi)
     # the roots' product is -q; the larger one is formed without cancelling
     b = q - a * a - gx * gx

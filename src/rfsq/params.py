@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._carrier import carrier
+from ._carrier import carrier, writer
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
@@ -78,18 +78,31 @@ def decay_rates(n_sq, eta, phi):
     - 1 the quadrature rates are N + 1/2 - M + 2 M cos^2(Phi/2) and
     N + 1/2 - M + 2 M sin^2(Phi/2).
     """
-    return _rates(carrier(n_sq, eta, phi), n_sq, eta, phi)
-
-
-def _rates(xp, n_sq, eta, phi):
-    """``decay_rates`` on the namespace xp (see _carrier)."""
-    n_n1 = n_sq * (n_sq + 1.0)
-    m = eta * xp.sqrt(n_n1)
-    q = (1.0 - eta) * (1.0 + eta) * n_n1 + 0.25
-    low = q / (n_sq + 0.5 + m)
-    cos_half = xp.cos(0.5 * phi)
+    xp = carrier(n_sq, eta, phi)
+    m, q, gamma_x, gamma_z = _rates(xp, n_sq, eta, phi)
     sin_half = xp.sin(0.5 * phi)
-    gamma_x = low + 2.0 * m * (cos_half * cos_half)
-    gamma_y = low + 2.0 * m * (sin_half * sin_half)
-    gamma_z = 2.0 * (n_sq + 0.5)
+    gamma_y = q / (n_sq + 0.5 + m) + 2.0 * m * (sin_half * sin_half)
     return m, q, gamma_x, gamma_y, gamma_z
+
+
+def _rates(xp, n_sq, eta, phi, work=None):
+    """(M, q, gamma_x, gamma_z) of ``decay_rates`` on the namespace xp,
+    each operation through the ``put`` of ``_carrier.writer``. Nothing in
+    the library but ``verify`` uses gamma_y, so only ``decay_rates`` forms
+    it."""
+    put, _ = writer(work, n_sq, eta, phi)
+    add, mul = xp.add, xp.multiply
+    # N(N + 1)
+    n_n1 = put(mul, n_sq, put(add, n_sq, 1.0))
+    m = put(mul, eta, put(xp.sqrt, n_n1))
+    # q = (1 - eta)(1 + eta) N(N + 1) + 1/4
+    q = put(add, put(mul, put(mul, put(xp.subtract, 1.0, eta),
+                                put(add, 1.0, eta)), n_n1), 0.25)
+    # N + 1/2 - M = q / (N + 1/2 + M)
+    low = put(xp.true_divide, q, put(add, put(add, n_sq, 0.5), m))
+    cos_half = put(xp.cos, put(mul, 0.5, phi))
+    # gamma_x = N + 1/2 - M + 2 M cos^2(Phi/2)
+    gamma_x = put(add, low, put(mul, put(mul, 2.0, m),
+                                put(mul, cos_half, cos_half)))
+    gamma_z = put(mul, 2.0, put(add, n_sq, 0.5))
+    return m, q, gamma_x, gamma_z

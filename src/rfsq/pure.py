@@ -166,7 +166,7 @@ def condition_phi_pi(n_sq: float, delta: float, eta: float = 1.0,
     if not is_opposed_phase(phi):
         raise ValidationError(f"phi must equal pi modulo 2 pi, got {phi}")
     # Gamma - gM is gamma_x at Phi = pi; an overflowed M is caught with the drive
-    m, _, margin, _, _ = _rates(OPPOSED, n_sq, eta, phi)
+    m, _, margin, _ = _rates(OPPOSED, n_sq, eta, phi)
     if delta < 10.0 * margin:
         warnings.warn(
             f"delta = {delta:g} is below 10 * (Gamma - gM) = {10.0 * margin:g}; "

@@ -1,13 +1,24 @@
 """Grid scans of squeezing metrics over one or two parameter axes.
 
 A scan evaluates one metric of the steady state on a uniform grid, axis1
-outer and axis2 inner (row-major), through the closed-form kernel.
-The kernel sees the grid in blocks of at most ``BLOCK_NODES`` = 2^15
-nodes, so each float64 temporary of the kernel and the metric is 256 KiB.
-Once the first one is freed, glibc's dynamic mmap threshold serves them
-from the heap, without fresh pages, and they fit in a core's L2 cache.
-Blocks of 2^20 nodes (8 MiB temporaries) made a warm 2048 x 2048 scan
-1.3-1.6 times slower and doubled its peak memory. Nodes are independent, so
+outer and axis2 inner (row-major), through the closed-form kernel, in
+blocks of at most ``BLOCK_NODES`` = 2^15 nodes. One ``_carrier.Workspace``
+per scan holds the block-sized buffers: the kernel and the metric write
+every intermediate that fills the block into them (ufunc ``out=``), the
+metric's last operation writes into the output itself, and the
+finiteness test into a bool buffer. So a block allocates only what
+depends on axis1 (what depends on axis2 alone is kept from the first
+block), and a scan's speed no longer rests on glibc keeping freed
+temporaries on the heap: under a fixed ``mmap_threshold`` scans whose
+blocks allocated ran 2.6-3.2 times slower.
+
+The block stays at 2^15 nodes: the workspace's six float64 buffers are
+then 1.5 MiB, which fits one core's 2 MiB L2 cache on the machine it was
+measured on. Re-measured with the workspace on warm 2048 x 2048 scans of
+the benchmark's drive and reservoir (N, phi) grids, two rounds: 2^13 and
+2^14 were slower on both, 2^16 was 6-8% faster on drive grids but
+within 2% either way on reservoir grids, with twice the workspace, and
+2^17 won neither family in both rounds. Nodes are independent, so
 results are deterministic regardless of how the grid is split into
 blocks.
 """
@@ -19,8 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._carrier import Workspace
 from ._version import __version__
-from .bloch import BlochState, steady_state_grid
+from .bloch import s_opt_xyz, sigma_xyz, steady_state_grid
 from .errors import ValidationError
 from .metrics import variance_theta_xyz
 from .params import AtomFieldParams
@@ -160,24 +172,27 @@ def scan_metadata(metric, axes, fixed: AtomFieldParams, errors) -> dict:
     }
 
 
-def _metric_from_states(metric, sx, sy, sz, theta):
+def _metric_from_states(metric, sx, sy, sz, theta, work):
     if metric == "sigma":
-        return BlochState(sx, sy, sz).sigma
+        return sigma_xyz(sx, sy, sz, work)
     if metric == "sz":
         return sz
     if metric == "s_opt":
-        return BlochState(sx, sy, sz).s_opt
+        return s_opt_xyz(sx, sy, sz, work)
     if metric == "s_theta":
-        return variance_theta_xyz(sx, sy, sz, theta)
-    return variance_theta_xyz(sx, sy, sz, _FIXED_THETAS[metric])
+        return variance_theta_xyz(sx, sy, sz, theta, work)
+    return variance_theta_xyz(sx, sy, sz, _FIXED_THETAS[metric], work)
 
 
 def scan(spec: ScanSpec) -> ScanResult:
     """Evaluate the metric at every grid node of the spec.
 
     Axis1 enters the kernel as a column and axis2 as a row, so the grid is
-    formed by broadcasting: whatever depends on one axis alone is computed
-    once per block, and constant inputs stay scalars.
+    formed by broadcasting: whatever depends on axis1 alone is computed
+    once per block, what depends on axis2 and the constants alone once per
+    scan, and constant inputs stay scalars. The kernel, the metric and the
+    finiteness test write into one Workspace, made once per scan, and the
+    metric's last operation into the output itself.
     """
     inputs = spec.fixed.inputs()
     # start and stop are the extremes of each axis, so checking the
@@ -187,7 +202,9 @@ def scan(spec: ScanSpec) -> ScanResult:
             AtomFieldParams(**{**inputs, axis.name: axis.start})
             AtomFieldParams(**{**inputs, axis.name: axis.stop})
 
-    node = {**inputs, "theta": spec.theta}
+    # 0-d arrays made once, so that each block passes the same constants
+    node = {**{k: np.asarray(v, dtype=float) for k, v in inputs.items()},
+            "theta": spec.theta}
     ax1 = spec.axis1.values
     values = np.empty(spec.shape)
     inner = 1
@@ -195,16 +212,26 @@ def scan(spec: ScanSpec) -> ScanResult:
         node[spec.axis2.name] = spec.axis2.values
         inner = spec.axis2.count
     rows = max(BLOCK_NODES // inner, 1)
+    work = Workspace(min(rows, spec.axis1.count) * inner)
+    bad = []
     with np.errstate(all="ignore"):
         for lo in range(0, spec.axis1.count, rows):
             block = ax1[lo:lo + rows]
             node[spec.axis1.name] = block if spec.axis2 is None else block[:, None]
-            sx, sy, sz = steady_state_grid(*(node[k] for k in inputs))
-            values[lo:lo + rows] = _metric_from_states(spec.metric, sx, sy, sz,
-                                                       node["theta"])
+            out = values[lo:lo + rows]
+            work.block(out)
+            value = _metric_from_states(
+                spec.metric, *steady_state_grid(*(node[k] for k in inputs), work=work),
+                node["theta"], work)
+            if value is not out:  # sz, or a metric constant over the block
+                out[...] = value
+            finite = np.isfinite(out, out=work.flag)
+            if not finite.all():
+                lost = np.flatnonzero(~finite)
+                out.flat[lost] = 0.0
+                bad.append(lost + lo * inner)
 
-    bad = np.flatnonzero(~np.isfinite(values))
-    values.flat[bad] = 0.0
+    bad = np.concatenate(bad) if bad else np.empty(0, dtype=np.intp)
     return ScanResult(spec=spec, values=values, errors=_runs(bad, spec.shape))
 
 

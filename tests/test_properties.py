@@ -9,8 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from rfsq import backends, metrics, optimize  # noqa: E402
-from rfsq._carrier import SCALAR  # noqa: E402
-from rfsq.bloch import BlochState, steady_state  # noqa: E402
+from rfsq._carrier import SCALAR, Workspace  # noqa: E402
+from rfsq.bloch import BlochState, s_opt_xyz, sigma_xyz, steady_state  # noqa: E402
 from rfsq.errors import NumericalError  # noqa: E402
 from rfsq.io import read_csv, write_csv  # noqa: E402
 from rfsq.metrics import (  # noqa: E402
@@ -162,6 +162,12 @@ def test_the_scalar_carrier_gives_the_numpy_bits(n_sq, eta, phi, omega, delta,
         _agree(decay_rates(n_sq, eta, phi), decay_rates(*arrays[:3]))
         grid = backends.steady_grid(*floats)
         _agree(backends._steady(SCALAR, *floats), grid)
+        # a one-node block of a scan's workspace: every operation of the
+        # common path writes into one of its buffers (out=)
+        work = Workspace(1)
+        work.block(np.empty(()))
+        _agree(backends._steady(SCALAR, *floats),
+               [float(x) for x in backends.steady_grid(*floats, work=work)])
         _agree(metrics._longitude(n_sq, eta, phi, delta),
                metrics._longitude(*arrays[:3], arrays[4]))
         for quadrature in (None, theta):
@@ -179,10 +185,15 @@ def test_the_scalar_carrier_gives_the_numpy_bits(n_sq, eta, phi, omega, delta,
         state = steady_state(params)
         _agree((state.sx, state.sy, state.sz), grid)
         on_arrays = BlochState(*(np.asarray(x) for x in grid))
-        _agree([variance_theta_xyz(state.sx, state.sy, state.sz, theta),
-                state.sigma, optimal_variance(state)],
+        on_scalars = [variance_theta_xyz(state.sx, state.sy, state.sz, theta),
+                      state.sigma, optimal_variance(state)]
+        _agree(on_scalars,
                [variance_theta_xyz(*grid, np.asarray(theta)),
                 on_arrays.sigma, optimal_variance(on_arrays)])
+        # the workspace forms write into the block's output, one at a time
+        _agree(on_scalars,
+               [float(variance_theta_xyz(*grid, np.asarray(theta), work)),
+                float(sigma_xyz(*grid, work)), float(s_opt_xyz(*grid, work))])
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
