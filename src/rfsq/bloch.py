@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from . import backends
-from ._carrier import SCALAR, carrier, writer
+from ._carrier import SCALAR
 from .errors import NumericalError
 from .params import AtomFieldParams
 
@@ -60,24 +60,14 @@ class BlochState:
         return cls(0.0, 0.0, -1.0)
 
 
-def sigma_xyz(sx, sy, sz, work=None):
-    """sx^2 + sy^2 + sz^2 from raw Bloch components; polymorphic over
-    arrays. With a bound ``_carrier.Workspace``, a result that fills the
-    block is written into its output slice."""
-    xp = carrier(sx, sy, sz)
-    put, last = writer(work, sx, sy, sz)
-    mul = xp.multiply
-    return last(xp.add, put(xp.add, put(mul, sx, sx), put(mul, sy, sy)),
-                put(mul, sz, sz))
+def sigma_xyz(sx, sy, sz):
+    """sx^2 + sy^2 + sz^2 from raw Bloch components; polymorphic over arrays."""
+    return sx * sx + sy * sy + sz * sz
 
 
-def s_opt_xyz(sx, sy, sz, work=None):
+def s_opt_xyz(sx, sy, sz):
     """1 + sz - sx^2 - sy^2 from raw Bloch components (see sigma_xyz)."""
-    xp = carrier(sx, sy, sz)
-    put, last = writer(work, sx, sy, sz)
-    sub, mul = xp.subtract, xp.multiply
-    return last(sub, put(sub, put(xp.add, 1.0, sz), put(mul, sx, sx)),
-                put(mul, sy, sy))
+    return 1.0 + sz - sx * sx - sy * sy
 
 
 def steady_state(params: AtomFieldParams) -> BlochState:
@@ -106,9 +96,7 @@ def steady_state_grid(n_sq, eta, phi, omega, delta, work=None):
 
     Returns three float64 arrays (sx, sy, sz) in the broadcast shape.
     Constant inputs stay scalars: nothing is expanded to the grid size.
-    With a ``_carrier.Workspace`` (what ``scan`` passes, bound to one
-    block), a component that fills the block is a view of a workspace
-    buffer, overwritten by the next call with that workspace.
+    ``work`` is a ``scan.Replay``, as in ``backends.steady_grid``.
     """
     import numpy as np
 

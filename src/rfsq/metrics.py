@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from ._carrier import SCALAR, carrier, libm, writer
+from ._carrier import SCALAR, carrier, libm
 from .bloch import BlochState, steady_state
 from .errors import NumericalError
 from .params import AtomFieldParams, _rates, decay_rates
@@ -60,17 +60,11 @@ class SqueezingReport:
         return asdict(self)
 
 
-def variance_theta_xyz(sx, sy, sz, theta, work=None):
-    """S_theta from raw Bloch components; polymorphic over arrays. With a
-    bound ``_carrier.Workspace``, a result that fills the block is written
-    into its output slice."""
+def variance_theta_xyz(sx, sy, sz, theta):
+    """S_theta from raw Bloch components; polymorphic over arrays."""
     xp = carrier(sx, sy, sz, theta)
-    put, last = writer(work, sx, sy, sz, theta)
-    mul = xp.multiply
-    # coherence = sx cos(theta) - sy sin(theta)
-    coherence = put(xp.subtract, put(mul, sx, put(xp.cos, theta)),
-                    put(mul, sy, put(xp.sin, theta)))
-    return last(xp.subtract, put(xp.add, 1.0, sz), put(mul, coherence, coherence))
+    coherence = sx * xp.cos(theta) - sy * xp.sin(theta)
+    return 1.0 + sz - coherence * coherence
 
 
 def variance_theta(state: BlochState, theta: float) -> float:

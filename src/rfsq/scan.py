@@ -2,35 +2,29 @@
 
 A scan evaluates one metric of the steady state on a uniform grid, axis1
 outer and axis2 inner (row-major), through the closed-form kernel, in
-blocks of at most ``BLOCK_NODES`` = 2^15 nodes. One ``_carrier.Workspace``
-per scan holds the block-sized buffers: the kernel and the metric write
-every intermediate that fills the block into them (ufunc ``out=``), the
-metric's last operation writes into the output itself, and the
-finiteness test into a bool buffer. So a block allocates only what
-depends on axis1 (what depends on axis2 alone is kept from the first
-block), and a scan's speed no longer rests on glibc keeping freed
-temporaries on the heap: under a fixed ``mmap_threshold`` scans whose
-blocks allocated ran 2.6-3.2 times slower.
+blocks of at most ``BLOCK_NODES`` = 2^15 nodes. One ``Replay`` per scan
+records the kernel and the metric once and replays them into buffers
+planned by liveness: six float64 ones (and a bool one where a guard
+varies) on every scan of the benchmark's cycles. So a block allocates
+nothing, and a scan's speed does not rest on glibc keeping freed
+temporaries on the heap: under a fixed 128 KiB ``mmap_threshold``, blocks evaluated
+without the replay took 2.8-3.1 times as long as replayed ones.
 
-The block stays at 2^15 nodes: the workspace's six float64 buffers are
-then 1.5 MiB, which fits one core's 2 MiB L2 cache on the machine it was
-measured on. Re-measured with the workspace on warm 2048 x 2048 scans of
-the benchmark's drive and reservoir (N, phi) grids, two rounds: 2^13 and
-2^14 were slower on both, 2^16 was 6-8% faster on drive grids but
-within 2% either way on reservoir grids, with twice the workspace, and
-2^17 won neither family in both rounds. Nodes are independent, so
-results are deterministic regardless of how the grid is split into
-blocks.
+Six buffers of 2^15 nodes are 1.5 MiB, within one core's 2 MiB L2 cache
+on the machine measured. On warm 2048 x 2048 scans, with the same six
+buffers chosen before the replay, 2^13 and 2^14 were slower, 2^16 was
+6-8% faster on drive grids only, with twice the buffers, and 2^17 won on
+neither. Nodes are independent, so results do not depend on the blocks.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._carrier import Workspace
 from ._version import __version__
 from .bloch import s_opt_xyz, sigma_xyz, steady_state_grid
 from .errors import ValidationError
@@ -172,27 +166,188 @@ def scan_metadata(metric, axes, fixed: AtomFieldParams, errors) -> dict:
     }
 
 
-def _metric_from_states(metric, sx, sy, sz, theta, work):
-    if metric == "sigma":
-        return sigma_xyz(sx, sy, sz, work)
+class Replay:
+    """A scan's closed forms, each recorded once and replayed block by block.
+
+    ``replay(form, *args, out=None)`` is form(*args) on one block of the
+    given shape; an argument varies when it is an array with the block's
+    dimensions. The first call of a form records it on a one-row slice of
+    the varying arguments: what depends on none of them is evaluated then,
+    once per scan, and the rest is a straight line of ufunc calls. Each
+    varying value has a buffer from its step to its last use, or to the
+    end if returned (the value returned with ``out`` is written there), and
+    the lines share the buffers no returned value holds. Each call replays
+    the line with ``out=``. ``xp.any`` is a guard, checked where the form
+    calls it: a block where one holds is evaluated directly, as form(*args),
+    like a form none of whose arguments varies (once). A scan calls each
+    form once per block, in one order, with the same fixed arguments; what
+    a call returns is valid until the next block.
+    """
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.buffers = {}  # dtype -> arrays of the block's size
+        self.held = set()  # (dtype, index) of the buffers returned values hold
+        self._lines = {}
+
+    def __call__(self, form, *args, out=None):
+        line = self._lines.get(form)
+        if line is None:
+            line = self._lines[form] = _Line(self, form, args, out)
+        return line.run(args, out)
+
+
+class _Line:
+    """One form of a Replay: its record, buffer plan and bound calls."""
+
+    def __init__(self, replay, form, args, out):
+        self.form, self.buffers, self.rows = form, replay.buffers, None
+        ndim = len(replay.shape)
+        self.varying = [k for k, a in enumerate(args)
+                        if isinstance(a, np.ndarray) and a.ndim == ndim]
+        self.fixed = [(k, a) for k, a in enumerate(args) if k not in self.varying]
+        if not self.varying:
+            self.result = form(*args)
+            return
+        self.steps = []  # (ufunc, operands, result), or (None, (condition,), None)
+        result = form(*(_Value(self, a[:1], arg=k) if k in self.varying
+                        else _Value(self, a) if isinstance(a, (np.ndarray, np.generic))
+                        else a for k, a in enumerate(args)))
+        self.tuple = isinstance(result, tuple)
+        self.outputs = result if self.tuple else (result,)
+        into = (out is not None and isinstance(result, _Value) and result.varies
+                and result.arg is None and result.value.dtype == out.dtype
+                and result.value.shape[1:] == out.shape[1:])
+        self._plan(replay, result if into else None)
+
+    def call(self, ufunc, operands):
+        """Record a ufunc call, or evaluate it where nothing in it varies."""
+        value = ufunc(*(x.value if isinstance(x, _Value) else x for x in operands))
+        if not any(isinstance(x, _Value) and x.varies for x in operands):
+            return _Value(self, value)
+        result = _Value(self, value, varies=True)
+        self.steps.append((ufunc, operands, result))
+        return result
+
+    def guard(self, condition):
+        """``xp.any(condition)``: False, so that the common path is recorded."""
+        self.steps.append((None, (condition,), None))
+        return False
+
+    def _plan(self, replay, target):
+        """A buffer (dtype, index) for each varying step result but target."""
+        last = {id(x): i for i, (_, operands, _) in enumerate(self.steps)
+                for x in operands}
+        last.update((id(x), len(self.steps)) for x in self.outputs)
+        buffers, held = replay.buffers, replay.held
+        count = {dtype: len(b) for dtype, b in buffers.items()}
+        free = {dtype: [(dtype, i) for i in range(n) if (dtype, i) not in held]
+                for dtype, n in count.items()}
+        self.slots = {}
+        for i, (_, operands, result) in enumerate(self.steps):
+            if result is not None and result is not target:
+                dtype = result.value.dtype
+                pool = free.setdefault(dtype, [])
+                if not pool:
+                    count[dtype] = count.get(dtype, 0) + 1
+                    pool.append((dtype, count[dtype] - 1))
+                self.slots[id(result)] = pool.pop()
+            for key in {id(x) for x in (*operands, result)}:
+                slot = self.slots.get(key)
+                if slot and last.get(key, i) == i:
+                    free[slot[0]].append(slot)
+        size = math.prod(replay.shape)
+        for dtype, n in count.items():  # one allocation per line and dtype
+            have = buffers.setdefault(dtype, [])
+            have.extend(np.empty((n - len(have), size), dtype))
+        held.update(self.slots[id(x)] for x in self.outputs if id(x) in self.slots)
+
+    def _bind(self, rows):
+        """The calls for ``rows`` rows, and the places each call fills."""
+        self.rows, views = rows, {}
+        self.patches = []  # (list, position, argument index or None for out)
+        for _, _, result in self.steps:
+            if id(result) in self.slots:
+                dtype, i = self.slots[id(result)]
+                shape = (rows,) + result.value.shape[1:]
+                views[id(result)] = self.buffers[dtype][i][:math.prod(shape)].reshape(shape)
+
+        def fill(values):
+            filled = []
+            for x in values:
+                if isinstance(x, _Value):
+                    if x.varies and id(x) not in views:  # an argument, or out
+                        self.patches.append((filled, len(filled), x.arg))
+                    x = views.get(id(x), x.value)
+                filled.append(x)
+            return filled
+
+        self.calls = [(fn, fill(operands + ((result,) if fn else ())))
+                      for fn, operands, result in self.steps]
+        self.returns = fill(self.outputs)
+
+    def run(self, args, out):
+        if not self.varying:
+            return self.result
+        if any(args[k] is not a for k, a in self.fixed):
+            raise ValueError(f"a fixed argument of {self.form.__name__} changed")
+        rows = len(args[self.varying[0]])
+        if rows != self.rows:
+            self._bind(rows)
+        for filled, pos, k in self.patches:
+            filled[pos] = out if k is None else args[k]
+        for fn, filled in self.calls:
+            if fn is not None:
+                fn(*filled)
+            elif filled[0].any():
+                return self.form(*args)
+        return tuple(self.returns) if self.tuple else self.returns[0]
+
+
+class _Value(np.lib.mixins.NDArrayOperatorsMixin):
+    """A value of a form being recorded: a constant, or a varying value as
+    numpy gives it on the one-row slice (``arg``: the argument it is). A
+    ufunc call records itself, ``np.any`` is a guard, and any other numpy
+    function or a truth test raises TypeError: nothing escapes the record.
+    """
+
+    def __init__(self, line, value, varies=False, arg=None):
+        # weak, so that the line and its record are not a reference cycle
+        self.line, self.value, self.arg = weakref.proxy(line), value, arg
+        self.varies = varies or arg is not None
+
+    def __array_ufunc__(self, ufunc, method, *operands, **kwargs):
+        if method != "__call__" or kwargs or ufunc.nout != 1:
+            return NotImplemented
+        return self.line.call(ufunc, operands)
+
+    def __array_function__(self, func, types, args, kwargs):
+        if func is np.any and len(args) == 1 and not kwargs:
+            return self.line.guard(args[0])
+        return NotImplemented
+
+    def __bool__(self):
+        raise TypeError("a recorded value has no truth value; branch on xp.any")
+
+
+def _metric_from_states(metric, sx, sy, sz, theta, work, out):
     if metric == "sz":
         return sz
-    if metric == "s_opt":
-        return s_opt_xyz(sx, sy, sz, work)
-    if metric == "s_theta":
-        return variance_theta_xyz(sx, sy, sz, theta, work)
-    return variance_theta_xyz(sx, sy, sz, _FIXED_THETAS[metric], work)
+    if metric in ("sigma", "s_opt"):
+        form = sigma_xyz if metric == "sigma" else s_opt_xyz
+        return work(form, sx, sy, sz, out=out)
+    theta = _FIXED_THETAS.get(metric, theta)
+    return work(variance_theta_xyz, sx, sy, sz, theta, out=out)
 
 
 def scan(spec: ScanSpec) -> ScanResult:
     """Evaluate the metric at every grid node of the spec.
 
     Axis1 enters the kernel as a column and axis2 as a row, so the grid is
-    formed by broadcasting: whatever depends on axis1 alone is computed
-    once per block, what depends on axis2 and the constants alone once per
-    scan, and constant inputs stay scalars. The kernel, the metric and the
-    finiteness test write into one Workspace, made once per scan, and the
-    metric's last operation into the output itself.
+    formed by broadcasting, and what depends on axis2 and the constants
+    alone is computed once per scan (see Replay). The metric's last
+    operation writes into the output, the finiteness test into a bool
+    buffer.
     """
     inputs = spec.fixed.inputs()
     # start and stop are the extremes of each axis, so checking the
@@ -212,20 +367,20 @@ def scan(spec: ScanSpec) -> ScanResult:
         node[spec.axis2.name] = spec.axis2.values
         inner = spec.axis2.count
     rows = max(BLOCK_NODES // inner, 1)
-    work = Workspace(min(rows, spec.axis1.count) * inner)
+    flag = np.empty(values[:rows].shape, dtype=bool)
+    work = Replay(flag.shape)
     bad = []
     with np.errstate(all="ignore"):
         for lo in range(0, spec.axis1.count, rows):
             block = ax1[lo:lo + rows]
             node[spec.axis1.name] = block if spec.axis2 is None else block[:, None]
             out = values[lo:lo + rows]
-            work.block(out)
             value = _metric_from_states(
                 spec.metric, *steady_state_grid(*(node[k] for k in inputs), work=work),
-                node["theta"], work)
+                node["theta"], work, out)
             if value is not out:  # sz, or a metric constant over the block
                 out[...] = value
-            finite = np.isfinite(out, out=work.flag)
+            finite = np.isfinite(out, out=flag[:len(out)])
             if not finite.all():
                 lost = np.flatnonzero(~finite)
                 out.flat[lost] = 0.0

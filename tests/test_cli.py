@@ -652,6 +652,30 @@ def test_the_csv_codec_loads_only_for_csv(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_python_3_11_names_needed(tmp_path):
+    # operator.call and math.cbrt are new in Python 3.11, and the package
+    # supports 3.10: without them a cold process still runs every kind of
+    # command, numpy-free and numpy alike
+    script = (
+        "import contextlib, io, math, operator\n"
+        "del operator.call, math.cbrt\n"
+        "from rfsq.cli import main\n"
+        "for argv in (['report', '--n', '0.2', '--omega', '1'],\n"
+        "             ['optimize', '--n', '0.125', '--phi', '0.5pi',\n"
+        "              '--box', 'omega:0:3,delta:0:2'],\n"
+        "             ['scan', '--metric', 's_opt', '--axis1', 'omega:0:3:16',\n"
+        "              '--axis2', 'phi:0:pi:16', '--n', '0.2'],\n"
+        "             ['verify', '--fast']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+    )
+    src = Path(rfsq.optimize.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_overflowing_report_fails_cleanly(capsys):
     # N (N + 1) overflows: one error line, exit 2, no NaN anywhere
     code, out, err = run(capsys, "report", "--n", "1e200", "--omega", "1")

@@ -9,7 +9,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from rfsq import backends, metrics, optimize  # noqa: E402
-from rfsq._carrier import SCALAR, Workspace  # noqa: E402
+from rfsq._carrier import SCALAR  # noqa: E402
 from rfsq.bloch import BlochState, s_opt_xyz, sigma_xyz, steady_state  # noqa: E402
 from rfsq.errors import NumericalError  # noqa: E402
 from rfsq.io import read_csv, write_csv  # noqa: E402
@@ -20,6 +20,7 @@ from rfsq.optimize import (  # noqa: E402
     VARIANCE_BOUND, drive_optima, minimize_variance_batch)
 from rfsq.params import AtomFieldParams, decay_rates  # noqa: E402
 from rfsq.pure import pure_state  # noqa: E402
+from rfsq.scan import Replay  # noqa: E402
 from rfsq.verify import routh_hurwitz_margins, system_grid  # noqa: E402
 
 from search_oracle import grid_minimum, scalar_search  # noqa: E402
@@ -162,12 +163,12 @@ def test_the_scalar_carrier_gives_the_numpy_bits(n_sq, eta, phi, omega, delta,
         _agree(decay_rates(n_sq, eta, phi), decay_rates(*arrays[:3]))
         grid = backends.steady_grid(*floats)
         _agree(backends._steady(SCALAR, *floats), grid)
-        # a one-node block of a scan's workspace: every operation of the
-        # common path writes into one of its buffers (out=)
-        work = Workspace(1)
-        work.block(np.empty(()))
+        # a one-node block of a scan's replay: every input varies, so every
+        # operation of the common path is replayed into a buffer (out=)
+        replay = Replay((1,))
         _agree(backends._steady(SCALAR, *floats),
-               [float(x) for x in backends.steady_grid(*floats, work=work)])
+               [float(x[0]) for x in backends.steady_grid(
+                   *(np.array([x]) for x in floats), work=replay)])
         _agree(metrics._longitude(n_sq, eta, phi, delta),
                metrics._longitude(*arrays[:3], arrays[4]))
         for quadrature in (None, theta):
@@ -190,10 +191,13 @@ def test_the_scalar_carrier_gives_the_numpy_bits(n_sq, eta, phi, omega, delta,
         _agree(on_scalars,
                [variance_theta_xyz(*grid, np.asarray(theta)),
                 on_arrays.sigma, optimal_variance(on_arrays)])
-        # the workspace forms write into the block's output, one at a time
+        # the replayed metrics write into the block's output, one at a time
+        nodes = [np.array([x]) for x in grid]
         _agree(on_scalars,
-               [float(variance_theta_xyz(*grid, np.asarray(theta), work)),
-                float(sigma_xyz(*grid, work)), float(s_opt_xyz(*grid, work))])
+               [float(replay(variance_theta_xyz, *nodes, np.array([theta]),
+                             out=np.empty(1))[0]),
+                float(replay(sigma_xyz, *nodes, out=np.empty(1))[0]),
+                float(replay(s_opt_xyz, *nodes, out=np.empty(1))[0])])
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)

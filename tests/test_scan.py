@@ -17,8 +17,8 @@ from rfsq import (
     variance_theta,
 )
 from rfsq import backends
-from rfsq._carrier import SCALAR, Workspace, writer
-from rfsq.bloch import BlochState
+from rfsq._carrier import SCALAR
+from rfsq.bloch import BlochState, s_opt_xyz, sigma_xyz
 from rfsq.errors import ValidationError
 from rfsq.metrics import variance_theta_xyz
 
@@ -221,7 +221,7 @@ _THETAS = {"s_x": 0.0, "s_y": math.pi / 2.0, "s_pi4": math.pi / 4.0}
 
 
 def _metric(metric, sx, sy, sz, theta):
-    """The metric without a workspace, from the public forms."""
+    """The metric without a replay, from the public forms."""
     if metric == "sz":
         return sz
     if metric in ("sigma", "s_opt"):
@@ -231,7 +231,7 @@ def _metric(metric, sx, sy, sz, theta):
 
 def _unblocked(spec):
     """The scan's values and failed flat indices from one ``steady_grid``
-    call over the whole grid, without a workspace."""
+    call over the whole grid, without a replay."""
     node = {**spec.fixed.inputs(), "theta": spec.theta}
     node[spec.axis1.name] = (spec.axis1.values if spec.axis2 is None
                              else spec.axis1.values[:, None])
@@ -259,7 +259,7 @@ def _failed(result):
 @pytest.mark.parametrize("spec", _BLOCK_SPECS, ids=_BLOCK_IDS)
 def test_block_size_changes_no_output(monkeypatch, spec, block_nodes):
     default = scan(spec)
-    # the workspace's blocks and one unblocked kernel call agree to the bit
+    # the replayed blocks and one unblocked kernel call agree to the bit
     values, bad = _unblocked(spec)
     assert default.values.tobytes() == values.tobytes()
     assert _failed(default) == bad.tolist()
@@ -336,43 +336,92 @@ def test_scan_allocates_its_output_and_one_workspace(spec):
     assert peak - start - result.values.nbytes <= limit
 
 
-def test_workspace_reuses_temporaries_and_keeps_held_values():
-    out = np.zeros((2, 3))
-    col, row = np.array([[1.0], [2.0]]), np.array([10.0, 20.0, 30.0])
-    work = Workspace(out.size)
-    work.block(out)
-    put, last = writer(work, col, row)
-    # a per-axis result stays new and small
-    assert put(np.multiply, col, 2.0).shape == (2, 1)
-    held = put(np.add, col, row)
-    inner = put(np.multiply, col, row)
-    # a nested put's result is overwritten in place, a named one is not
-    outer = put(np.subtract, put(np.multiply, col, row), held)
-    twice = put(np.multiply, put(np.add, held, 1.0), 2.0)
-    assert len({id(held), id(inner), id(outer), id(twice)}) == 4
-    np.testing.assert_array_equal(held, col + row)
-    np.testing.assert_array_equal(inner, col * row)
-    np.testing.assert_array_equal(outer, col * row - (col + row))
-    np.testing.assert_array_equal(twice, (col + row + 1.0) * 2.0)
-    assert last(np.add, held, inner) is out
-    np.testing.assert_array_equal(out, col + row + col * row)
-    # the four values and two free buffers fill the first allocation; a
-    # buffer comes back once its holder lets go
-    assert len(work._bases) == Workspace.FLOATS
-    more = [put(np.add, col, row) for _ in range(2)]
-    assert len(work._bases) == Workspace.FLOATS
-    del inner
-    assert put(np.add, col, row) is not None and len(work._bases) == Workspace.FLOATS
-    # past twice FLOATS held values a result is a new array
-    more += [put(np.add, col, row) for _ in range(Workspace.FLOATS + 2)]
-    assert len(work._bases) == 2 * Workspace.FLOATS
-    assert not any(more[-1] is b for b in work._pool)
-    np.testing.assert_array_equal(more[-1], col + row)
-    # the next block gets back a per-axis result whose function and
-    # arguments are the same objects, and recomputes the others
-    halved = put(np.multiply, row, 0.5)
-    other = np.array([[3.0], [4.0]])
-    changed = put(np.multiply, other, 0.5)
-    work.block(np.zeros((2, 3)))
-    assert put(np.multiply, row, 0.5) is halved
-    assert put(np.multiply, other.copy(), 0.5) is not changed
+def test_replay_plans_buffers_by_liveness_and_guards_blocks():
+    row = np.array([10.0, 20.0, 30.0])
+    # the last block is shorter: the line is bound again for one row
+    cols = [np.array([[1.0], [2.0]]), np.array([[0.5], [1.0]]), np.array([[3.0]])]
+    values = np.empty((5, 3))
+    starts = [0, 2, 4]
+
+    def form(col, row):
+        a = col + row
+        # sin(row) depends on axis2 alone; a is returned, so no later step
+        # may take its buffer once b has read it
+        c = a * 2.0 * np.sin(row)
+        return a, c + 1.0
+
+    replay = SCAN.Replay((2, 3))
+    for col in cols:
+        a, d = replay(form, col, row)
+        assert a.tobytes() == (col + row).tobytes()
+        assert d.tobytes() == ((col + row) * 2.0 * np.sin(row) + 1.0).tobytes()
+    # sin(row) was evaluated at the record, once; the line holds the rest
+    line = replay._lines[form]
+    assert [fn for fn, _, _ in line.steps] == [np.add, np.multiply, np.multiply,
+                                               np.add]
+    # at most three block values are alive at once: a, a * 2 and its
+    # product with sin(row); then a, the product and the result
+    assert len(replay.buffers[np.dtype(float)]) == 3
+    # what was evaluated once holds only for the same fixed arguments
+    with pytest.raises(ValueError):
+        replay(form, cols[0], row.copy())
+
+    calls = []
+
+    def guarded(col, row):
+        x = col * row
+        if np.any(x > 50.0):
+            calls.append(len(col))
+            x = np.minimum(x, 50.0)
+        return x - 1.0
+
+    expected = [guarded(col, row).tobytes() for col in cols]
+    calls.clear()
+    replay = SCAN.Replay((2, 3))
+    for lo, col, want in zip(starts, cols, expected):
+        out = values[lo:lo + len(col)]
+        value = replay(guarded, col, row, out=out)
+        # the first and last blocks pass 50: they are evaluated directly,
+        # the middle one is replayed into its output slice
+        assert (value is out) == (lo == 2)
+        out[...] = value
+        assert out.tobytes() == want
+    assert calls == [2, 1]
+
+    def coarse(col, row):
+        if np.any(row > 25.0):
+            calls.append(len(col))
+        return col * row
+
+    # a guard of constants that holds sends every block the direct way
+    calls.clear()
+    replay = SCAN.Replay((2, 3))
+    for col in cols:
+        assert replay(coarse, col, row).tobytes() == (col * row).tobytes()
+    assert calls == [2, 2, 1]
+
+
+def test_replay_refuses_numpy_functions_off_the_ufunc_path():
+    col, row = np.array([[1.0], [-2.0]]), np.array([10.0, 20.0, 30.0])
+
+    def where(col, row):
+        return np.where(col * row > 0.0, 1.0, 2.0)
+
+    def branch(col, row):
+        return 1.0 if col * row > 0.0 else 2.0
+
+    for form in (where, branch):
+        with pytest.raises(TypeError):
+            SCAN.Replay((2, 3))(form, col, row)
+    # no form a scan replays calls one: each records with every argument
+    # varying and gives the direct bits
+    inputs = [np.array([0.3, 2.0]), np.array([1.0, 0.6]), np.array([2.0, -1.0]),
+              np.array([0.7, 40.0]), np.array([-0.4, 3.0])]
+    replay = SCAN.Replay((2,))
+    states = replay(backends._steady, np, *inputs)
+    direct = backends._steady(np, *inputs)
+    assert [x.tobytes() for x in states] == [x.tobytes() for x in direct]
+    theta = np.array([0.2, 1.9])
+    for form, args in ((sigma_xyz, direct), (s_opt_xyz, direct),
+                       (variance_theta_xyz, (*direct, theta))):
+        assert replay(form, *args).tobytes() == form(*args).tobytes()
