@@ -108,11 +108,11 @@ def _add_params(parser, *names) -> None:
                            help=text)
 
 
-def _add_output(parser, fmt: bool = True) -> None:
+def _add_output(parser, fmt: bool = True,
+                out_help: str = "output path (default: stdout)") -> None:
     """--out, and --format for the commands that print a scalar report."""
     group = parser.add_argument_group("output")
-    group.add_argument("--out", type=Path, default=None,
-                       help="output path (default: stdout)")
+    group.add_argument("--out", type=Path, default=None, help=out_help)
     if fmt:
         group.add_argument("--format", dest="fmt", choices=("csv", "json"),
                            default="json", help="output format for scalar reports")
@@ -185,7 +185,9 @@ def build_parser() -> _Parser:
                         help="quadrature phase for the s_theta metric")
 
     p_fig = sub.add_parser("figure", help="emit a bundled figure dataset")
-    _add_output(p_fig, fmt=False)
+    _add_output(p_fig, fmt=False,
+                out_help="output CSV path, its sidecar next to it (default: "
+                "figN.csv in the working directory)")
     p_fig.add_argument("number", type=int, choices=range(2, 8),
                        metavar="2..7")
     p_fig.add_argument("--script", action="store_true",

@@ -2,19 +2,40 @@
 
 A scan evaluates one metric of the steady state on a uniform grid, axis1
 outer and axis2 inner (row-major), through the closed-form kernel, in
-blocks of at most ``BLOCK_NODES`` = 2^15 nodes. One ``Replay`` per scan
-records the kernel and the metric once and replays them into buffers
-planned by liveness: six float64 ones (and a bool one where a guard
-varies) on every scan of the benchmark's cycles. So a block allocates
-nothing, and a scan's speed does not rest on glibc keeping freed
-temporaries on the heap: under a fixed 128 KiB ``mmap_threshold``, blocks evaluated
-without the replay took 2.8-3.1 times as long as replayed ones.
+blocks of at most ``BLOCK_NODES`` = 2^15 nodes. A scan of more than one
+block makes one ``Replay``, which records the kernel and the metric once
+and replays them into buffers planned by liveness: six float64 ones (and
+a bool one where a guard varies) on every scan of the benchmark's
+cycles. So a block allocates nothing, and a scan's speed does not rest
+on glibc keeping freed temporaries on the heap: under a fixed 128 KiB
+``mmap_threshold``, blocks evaluated without the replay took 2.8-3.1
+times as long as replayed ones. A scan of one block (every 1-D scan
+among them) calls the forms directly: recording and planning some 45
+ufunc calls in Python cost more than a single pass saves (a warm 64 x 64
+drive scan took 370 us replayed and 100 us direct).
 
 Six buffers of 2^15 nodes are 1.5 MiB, within one core's 2 MiB L2 cache
 on the machine measured. On warm 2048 x 2048 scans, with the same six
 buffers chosen before the replay, 2^13 and 2^14 were slower, 2^16 was
 6-8% faster on drive grids only, with twice the buffers, and 2^17 won on
 neither. Nodes are independent, so results do not depend on the blocks.
+
+numpy's ufunc iterator copies each operand that broadcasts across a
+block's rows (a column of axis1 against a row of axis2) through buffers
+of ``np.getbufsize()`` elements, 8192 by default, on every call. So a
+2-D scan whose rows hold ``ROW_BUFFER_NODES`` = 64 nodes or more sets
+the buffer to the row length for its duration, rounded down to a
+multiple of 16, the only sizes numpy takes (``np.setbufsize(8)``
+raises). On a 16 x 2048 block, a column x row multiply into ``out``
+went from 34-35 us to 8-10 us, and block x column from 28-29 to 9-12 us
+(block x block, which needs no buffer, takes 16-18 us either way).
+Narrower rows, and 1-D scans, keep the caller's size: on 4096-row
+grids a row-sized buffer made rows of 16 30-60% slower and rows of 32
+7-23% slower, was within 5% at 48, and won from 64 on (2-10% at 64,
+18-20% at 128). The scan restores the size in ``finally``: leaving
+``errstate`` restores it too on numpy 2, but numpy 1.x saves only the
+error modes there (measured on numpy 2.4.6 only). The buffer changes no
+bits: elementwise ufuncs compute each node from the same operands.
 """
 
 from __future__ import annotations
@@ -42,6 +63,10 @@ MAX_AXIS_COUNT = 4096
 
 #: nodes evaluated per kernel call (see the module docstring)
 BLOCK_NODES = 1 << 15
+
+#: 2-D scans whose rows hold this many nodes or more run with numpy's ufunc
+#: buffer at the row length (see the module docstring)
+ROW_BUFFER_NODES = 64
 
 _FIXED_THETAS = {"s_x": 0.0, "s_y": math.pi / 2.0, "s_pi4": math.pi / 4.0}
 
@@ -340,14 +365,22 @@ def _metric_from_states(metric, sx, sy, sz, theta, work, out):
     return work(variance_theta_xyz, sx, sy, sz, theta, out=out)
 
 
+def _direct(form, *args, out=None):
+    """form(*args), for a scan of one block: a Replay would record its line
+    for a single replay."""
+    return form(*args)
+
+
 def scan(spec: ScanSpec) -> ScanResult:
     """Evaluate the metric at every grid node of the spec.
 
     Axis1 enters the kernel as a column and axis2 as a row, so the grid is
-    formed by broadcasting, and what depends on axis2 and the constants
-    alone is computed once per scan (see Replay). The metric's last
-    operation writes into the output, the finiteness test into a bool
-    buffer.
+    formed by broadcasting. A scan of more than one block computes what
+    depends on axis2 and the constants alone once (see Replay), and the
+    metric's last operation writes into the output; a scan of one block
+    calls the forms directly. The finiteness test writes into a bool
+    buffer. Rows of ``ROW_BUFFER_NODES`` or more set numpy's ufunc buffer
+    to the row length until the scan returns or raises.
     """
     inputs = spec.fixed.inputs()
     # start and stop are the extremes of each axis, so checking the
@@ -368,23 +401,31 @@ def scan(spec: ScanSpec) -> ScanResult:
         inner = spec.axis2.count
     rows = max(BLOCK_NODES // inner, 1)
     flag = np.empty(values[:rows].shape, dtype=bool)
-    work = Replay(flag.shape)
+    work = Replay(flag.shape) if rows < spec.axis1.count else _direct
     bad = []
-    with np.errstate(all="ignore"):
-        for lo in range(0, spec.axis1.count, rows):
-            block = ax1[lo:lo + rows]
-            node[spec.axis1.name] = block if spec.axis2 is None else block[:, None]
-            out = values[lo:lo + rows]
-            value = _metric_from_states(
-                spec.metric, *steady_state_grid(*(node[k] for k in inputs), work=work),
-                node["theta"], work, out)
-            if value is not out:  # sz, or a metric constant over the block
-                out[...] = value
-            finite = np.isfinite(out, out=flag[:len(out)])
-            if not finite.all():
-                lost = np.flatnonzero(~finite)
-                out.flat[lost] = 0.0
-                bad.append(lost + lo * inner)
+    # numpy takes only multiples of 16; restored by hand, since leaving
+    # errstate restores the size on numpy 2 but not on 1.x
+    old = np.setbufsize(inner // 16 * 16 if inner >= ROW_BUFFER_NODES
+                        else np.getbufsize())
+    try:
+        with np.errstate(all="ignore"):
+            for lo in range(0, spec.axis1.count, rows):
+                block = ax1[lo:lo + rows]
+                node[spec.axis1.name] = block if spec.axis2 is None else block[:, None]
+                out = values[lo:lo + rows]
+                value = _metric_from_states(
+                    spec.metric,
+                    *steady_state_grid(*(node[k] for k in inputs), work=work),
+                    node["theta"], work, out)
+                if value is not out:  # sz, direct, or constant over the block
+                    out[...] = value
+                finite = np.isfinite(out, out=flag[:len(out)])
+                if not finite.all():
+                    lost = np.flatnonzero(~finite)
+                    out.flat[lost] = 0.0
+                    bad.append(lost + lo * inner)
+    finally:
+        np.setbufsize(old)
 
     bad = np.concatenate(bad) if bad else np.empty(0, dtype=np.intp)
     return ScanResult(spec=spec, values=values, errors=_runs(bad, spec.shape))

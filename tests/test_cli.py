@@ -144,6 +144,21 @@ def test_figure_emission(capsys, tmp_path):
     assert len(sign_changes) == 1
 
 
+@pytest.mark.parametrize("command, default", [
+    ("figure", "(default: figN.csv in the working directory)"),
+    ("scan", "(default: stdout)"),
+    ("report", "(default: stdout)"),
+])
+def test_out_help_names_where_output_goes(capsys, command, default):
+    # figure without --out writes figN.csv and its sidecar, never stdout
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert default in help_text
+    assert ("stdout" in help_text) is (command != "figure")
+
+
 def test_optimize_command(capsys):
     code, out, _ = run(capsys, "optimize", "--n", "0.125", "--phi", "0.5pi",
                        "--box", "omega:0:3,delta:0:2")

@@ -21,6 +21,7 @@ from rfsq._carrier import SCALAR
 from rfsq.bloch import BlochState, s_opt_xyz, sigma_xyz
 from rfsq.errors import ValidationError
 from rfsq.metrics import variance_theta_xyz
+from rfsq.scan import MAX_AXIS_COUNT
 
 #: ``rfsq.scan`` is the function; the submodule lives in sys.modules
 SCAN = sys.modules["rfsq.scan"]
@@ -425,3 +426,97 @@ def test_replay_refuses_numpy_functions_off_the_ufunc_path():
     for form, args in ((sigma_xyz, direct), (s_opt_xyz, direct),
                        (variance_theta_xyz, (*direct, theta))):
         assert replay(form, *args).tobytes() == form(*args).tobytes()
+
+
+def _reservoir(width, count1=2):
+    """An n_sq x phi s_opt scan whose rows hold ``width`` nodes."""
+    return ScanSpec(axis1=AxisSpec("n_sq", 0.0, 2.0, count1),
+                    axis2=AxisSpec("phi", 0.0, 2.0 * math.pi, width),
+                    fixed=AtomFieldParams(omega=0.8, delta=0.3), metric="s_opt")
+
+
+def _seen_buffer_sizes(monkeypatch):
+    """The ufunc buffer size each kernel call of a scan runs under."""
+    real = backends.steady_grid
+    sizes = []
+
+    def reading(*inputs, work=None):
+        sizes.append(np.getbufsize())
+        return real(*inputs, work=work)
+
+    monkeypatch.setattr(backends, "steady_grid", reading)
+    return sizes
+
+
+@pytest.mark.parametrize("width, buffer", [
+    (2048, 2048), (1000, 992), (2049, 2048), (64, 64), (48, None), (32, None),
+    (None, None),
+])
+def test_rows_of_64_or_more_set_the_ufunc_buffer(monkeypatch, width, buffer):
+    # numpy's buffer is a multiple of 16 (np.setbufsize(8) raises); narrow
+    # rows and 1-D scans keep the caller's size, here numpy's default
+    default = np.getbufsize()
+    sizes = _seen_buffer_sizes(monkeypatch)
+    spec = (ScanSpec(axis1=AxisSpec("omega", 0.0, 3.0, 4096),
+                     fixed=AtomFieldParams(n_sq=0.2, phi=1.0))
+            if width is None else _reservoir(width, 40))
+    scan(spec)
+    assert sizes and set(sizes) == {buffer or default}
+    assert np.getbufsize() == default
+
+
+def test_the_callers_ufunc_buffer_survives_a_scan(monkeypatch):
+    sizes = _seen_buffer_sizes(monkeypatch)
+    with np.errstate():
+        np.setbufsize(4096)
+        scan(_reservoir(32))
+        scan(_reservoir(1000))
+        assert sizes == [4096, 992]
+        assert np.getbufsize() == 4096
+
+    default = np.getbufsize()
+
+    def failing(*inputs, work=None):
+        raise RuntimeError("kernel failed")
+
+    monkeypatch.setattr(backends, "steady_grid", failing)
+    for width in (32, 2048):
+        with pytest.raises(RuntimeError):
+            scan(_reservoir(width, 40))
+        assert np.getbufsize() == default
+
+
+def test_no_row_width_is_refused_a_buffer():
+    default = np.getbufsize()
+    for width in range(2, MAX_AXIS_COUNT + 1):
+        assert not scan(_reservoir(width)).errors
+    assert np.getbufsize() == default
+
+
+@pytest.mark.parametrize("width", [16, 33, 64, 1000, 2049])
+def test_row_sized_buffers_change_no_bits(width):
+    # about 2^16 nodes: two or more replayed blocks under the row's buffer
+    spec = _reservoir(width, min(MAX_AXIS_COUNT, (1 << 16) // width + 1))
+    result = scan(spec)
+    values, bad = _unblocked(spec)
+    assert result.values.tobytes() == values.tobytes()
+    assert _failed(result) == bad.tolist()
+
+
+def test_only_scans_of_several_blocks_replay(monkeypatch):
+    # a scan of one block calls its forms directly: a replay would record,
+    # plan and bind them for a single pass
+    made = []
+
+    class Counted(SCAN.Replay):
+        def __init__(self, shape):
+            made.append(shape)
+            super().__init__(shape)
+
+    monkeypatch.setattr(SCAN, "Replay", Counted)
+    sizes = _seen_buffer_sizes(monkeypatch)
+    for count1 in (2, 64, 65):
+        scan(_reservoir(512, count1))
+    assert made == [(64, 512)]
+    # one kernel call per block, each under the row's buffer
+    assert sizes == [512] * 4
